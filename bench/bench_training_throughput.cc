@@ -2,10 +2,8 @@
 // (SSL phase + judge phase, data-parallel with a fixed shard count) and
 // batched pair-scoring inference, each measured at several global thread-pool
 // sizes. Verifies the determinism contract along the way — with num_shards
-// fixed, losses and scores must be bitwise identical at every thread count —
-// then re-runs training through the recorded-plan replay path and checks its
-// steady-state allocation contract (zero tensor allocs after prewarm,
-// bitwise-equal losses/scores). Emits machine-readable
+// fixed, losses and scores must be bitwise identical at every thread count.
+// Emits machine-readable
 // bench_out/BENCH_parallel.json for tools/run_benches.sh to diff across
 // commits.
 #include <cstdio>
@@ -207,64 +205,6 @@ int Run() {
     runs.push_back(std::move(run));
   }
 
-  // Planned-path run: same budget and shard count, executed through the
-  // recorded-plan replay path (nn/plan_executor.h). The contract under test:
-  // zero steady-state tensor allocations after plan prewarm, and losses /
-  // scores bitwise-identical to the eager runs above.
-  struct PlanResult {
-    double train_seconds = 0.0;
-    int64_t ssl_steady_allocs = 0;
-    int64_t judge_steady_allocs = 0;
-    int64_t arena_bytes = 0;
-    int64_t plan_cache_hits = 0;
-    bool matches_eager = false;
-  };
-  PlanResult plan;
-  {
-    util::ThreadPool::SetGlobalNumThreads(thread_counts.back());
-    core::HisRectModelConfig config = baselines::BaseModelConfig(env.Budget());
-    config.ssl.num_shards = kNumShards;
-    config.judge_trainer.num_shards = kNumShards;
-    config.plan.enabled = true;
-    baselines::HisRectApproach approach("HisRect-plan", config);
-
-    const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Scrape();
-    {
-      PhaseTimer train_watch;
-      approach.Fit(data.dataset, data.text_model);
-      plan.train_seconds = train_watch.ElapsedSeconds();
-    }
-    const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Scrape();
-
-    plan.ssl_steady_allocs = approach.model()->ssl_stats().steady_tensor_allocs;
-    plan.judge_steady_allocs =
-        approach.model()->judge_stats().steady_tensor_allocs;
-    plan.arena_bytes = CounterOf(after, "hisrect.nn.arena_bytes");
-    plan.plan_cache_hits = CounterOf(after, "hisrect.nn.plan_cache_hits") -
-                           CounterOf(before, "hisrect.nn.plan_cache_hits");
-
-    eval::PairScorer scorer = ScoreOf(approach);
-    eval::ScoredPairs scored = eval::ScoreLabeledPairs(data.dataset.test,
-                                                       scorer);
-    plan.matches_eager =
-        approach.model()->ssl_stats().final_poi_loss == runs[0].ssl_poi_loss &&
-        approach.model()->ssl_stats().final_unsup_loss ==
-            runs[0].ssl_unsup_loss &&
-        approach.model()->judge_stats().final_loss == runs[0].judge_loss &&
-        scored.scores == runs[0].scores;
-    std::fprintf(stderr,
-                 "[parallel] planned path: train %.2fs steady allocs "
-                 "%lld/%lld arena %lld B cache hits %lld eager match %s\n",
-                 plan.train_seconds,
-                 static_cast<long long>(plan.ssl_steady_allocs),
-                 static_cast<long long>(plan.judge_steady_allocs),
-                 static_cast<long long>(plan.arena_bytes),
-                 static_cast<long long>(plan.plan_cache_hits),
-                 plan.matches_eager ? "yes" : "NO");
-  }
-  const bool plan_ok = plan.matches_eager && plan.ssl_steady_allocs == 0 &&
-                       plan.judge_steady_allocs == 0;
-
   // Determinism contract: with the shard count fixed, every thread count
   // must produce bitwise-identical training losses and inference scores —
   // and the sharded graph-build / encode phases must be byte-identical at
@@ -348,17 +288,6 @@ int Run() {
   phase_table.Print(std::cout);
   std::printf("Determinism across thread counts: %s\n",
               deterministic ? "OK (bitwise)" : "VIOLATED");
-  std::printf(
-      "Planned path: train %.2fs (eager %.2fs at %zu threads), steady-state "
-      "tensor allocs %lld, arena high-water %lld bytes, plan cache hits "
-      "%lld, eager match %s\n",
-      plan.train_seconds, runs.back().train_seconds, thread_counts.back(),
-      static_cast<long long>(plan.ssl_steady_allocs +
-                             plan.judge_steady_allocs),
-      static_cast<long long>(plan.arena_bytes),
-      static_cast<long long>(plan.plan_cache_hits),
-      plan_ok ? "OK (bitwise)" : "VIOLATED");
-
   // Machine-readable record for tools/run_benches.sh regression diffing.
   std::string out_dir = "bench_out";
   if (const char* v = std::getenv("HISRECT_BENCH_OUT")) out_dir = v;
@@ -383,20 +312,6 @@ int Run() {
   std::fprintf(json, "  \"phase_speedup_target_4core\": 2.5,\n");
   std::fprintf(json, "  \"deterministic_across_threads\": %s,\n",
                deterministic ? "true" : "false");
-  std::fprintf(json,
-               "  \"plan\": {\"train_seconds\": %.4f, "
-               "\"steps_per_sec\": %.2f, "
-               "\"ssl_steady_tensor_allocs\": %lld, "
-               "\"judge_steady_tensor_allocs\": %lld, "
-               "\"arena_high_water_bytes\": %lld, "
-               "\"plan_cache_hits\": %lld, "
-               "\"matches_eager\": %s},\n",
-               plan.train_seconds, train_steps / plan.train_seconds,
-               static_cast<long long>(plan.ssl_steady_allocs),
-               static_cast<long long>(plan.judge_steady_allocs),
-               static_cast<long long>(plan.arena_bytes),
-               static_cast<long long>(plan.plan_cache_hits),
-               plan.matches_eager ? "true" : "false");
   std::fprintf(json, "  \"runs\": [\n");
   for (size_t i = 0; i < runs.size(); ++i) {
     const RunResult& run = runs[i];
@@ -445,7 +360,7 @@ int Run() {
   std::fclose(json);
   std::printf("Wrote %s\n", out_path.c_str());
 
-  return (deterministic && plan_ok) ? 0 : 1;
+  return deterministic ? 0 : 1;
 }
 
 }  // namespace

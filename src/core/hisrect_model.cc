@@ -83,11 +83,8 @@ util::Status HisRectModel::TryFit(const data::Dataset& dataset,
       encoder_->EncodeAll(dataset.train.profiles, config_.encode_shards);
 
   if (!config_.one_phase) {
-    SslTrainerOptions ssl_options = config_.ssl;
-    ssl_options.plan.enabled |= config_.plan.enabled;
-    ssl_options.plan.fuse |= config_.plan.fuse;
     SslTrainer ssl_trainer(featurizer_.get(), classifier_.get(),
-                           embedder_.get(), ssl_options);
+                           embedder_.get(), config_.ssl);
     util::Status status =
         ssl_trainer.Train(encoded, dataset.train, dataset.pois, rng,
                           &ssl_stats_);
@@ -97,8 +94,6 @@ util::Status HisRectModel::TryFit(const data::Dataset& dataset,
   JudgeTrainerOptions judge_options = config_.judge_trainer;
   judge_options.train_featurizer =
       config_.one_phase || judge_options.train_featurizer;
-  judge_options.plan.enabled |= config_.plan.enabled;
-  judge_options.plan.fuse |= config_.plan.fuse;
   JudgeTrainer judge_trainer(featurizer_.get(), judge_.get(), judge_options);
   util::Status status =
       judge_trainer.Train(encoded, dataset.train, rng, &judge_stats_);
@@ -111,8 +106,6 @@ util::Status HisRectModel::TryFit(const data::Dataset& dataset,
     poi_only.use_unlabeled_pairs = false;
     poi_only.min_poi_step_fraction = 1.0;
     poi_only.steps = config_.ssl.steps / 2;
-    poi_only.plan.enabled |= config_.plan.enabled;
-    poi_only.plan.fuse |= config_.plan.fuse;
     SslTrainer poi_trainer(featurizer_.get(), classifier_.get(),
                            embedder_.get(), poi_only);
     // Freeze F by excluding it: emulate via a dedicated optimizer inside
@@ -142,7 +135,7 @@ double HisRectModel::ScorePairEncoded(const EncodedProfile& a,
 
 std::shared_ptr<const nn::Graph> HisRectModel::RecordScorePlan(
     const EncodedProfile& a, const EncodedProfile& b) const {
-  nn::GraphRecorder recorder(/*training=*/false);
+  nn::GraphRecorder recorder;
   util::Rng rec_rng(0);  // Eval mode consumes no draws.
   nn::Tensor fi = featurizer_->Featurize(a, rec_rng, false);
   nn::Tensor fj = featurizer_->Featurize(b, rec_rng, false);
@@ -219,7 +212,7 @@ double HisRectModel::ScorePairPlanned(const EncodedProfile& a,
   run->inputs.Reset();
   featurizer_->BindPlanInputs(a, run->inputs);
   featurizer_->BindPlanInputs(b, run->inputs);
-  nn::PlanExecutor::Forward(*plan, *run, /*rng=*/nullptr);
+  nn::PlanExecutor::Forward(*plan, *run);
   const double score =
       nn::SigmoidValue(nn::PlanExecutor::OutputScalar(*plan, *run));
   std::lock_guard<std::mutex> lock(planned_scorer_.mu);

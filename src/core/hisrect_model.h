@@ -33,10 +33,10 @@ struct HisRectModelConfig {
   /// Encoder memo-cache sizing (bounded LRU). Offline fits want the default
   /// (larger than any split); serving sizes it to the live working set.
   EncoderOptions encoder_options;
-  /// Recorded-plan execution (see nn/plan_executor.h). When enabled, both
-  /// training phases and ScorePairEncoded replay static memory-planned
-  /// graphs — zero steady-state tensor allocations — with outputs
-  /// bitwise-identical to the eager tape.
+  /// Scoring path only (see nn/plan_executor.h): when enabled,
+  /// ScorePairEncoded replays static memory-planned inference graphs — zero
+  /// steady-state tensor allocations — with outputs bitwise-identical to the
+  /// eager tape (int8 plans excepted). Training always runs the eager tape.
   nn::PlanOptions plan;
 
   /// Layers in the POI classifier P.

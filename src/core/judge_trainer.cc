@@ -8,8 +8,6 @@
 #include <memory>
 #include <utility>
 
-#include "nn/graph_optimizer.h"
-#include "nn/graph_recorder.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
@@ -281,16 +279,11 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
   std::vector<LabeledPair> batch(batch_size);
   std::vector<util::Rng> sample_rngs;
   std::vector<float> shard_losses(num_shards);
-  // Plan replay needs step-invariant features; the One-phase baseline
-  // (train_featurizer) keeps the eager path.
-  const bool use_plans = options_.plan.enabled && !options_.train_featurizer;
   // Two-phase training keeps Theta_F fixed, so every profile's feature is
   // step-invariant: compute each one once up front (in parallel) and feed
   // the judge detached constants. This also keeps worker backward passes
-  // off the shared featurizer gradients entirely. The serial eager path
-  // featurizes in eval mode (no RNG draws), so the cached features are
-  // bitwise-identical to the ones it would rebuild per sample.
-  if ((num_shards > 1 && !options_.train_featurizer) || use_plans) {
+  // off the shared featurizer gradients entirely.
+  if (num_shards > 1 && !options_.train_featurizer) {
     feature_cache.resize(encoded.size());
     util::ParallelFor(thread_pool, encoded.size(),
                       thread_pool.num_threads(),
@@ -314,64 +307,6 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
     optimizer.ZeroGrad();
   }
 
-  // ---- Recorded-plan execution (use_plans only) ----
-  // The judge head sees a fixed shape — two 1 x feature_dim rows and a 1x1
-  // label — so one plan per module set covers every sample. Plans bind the
-  // live parameter Nodes; CopyParameterValues and checkpoint restores
-  // rewrite the matrices in place, so they stay valid for the whole run.
-  std::vector<std::shared_ptr<const nn::Graph>> plans;
-  std::vector<nn::PlanRun> plan_runs;
-  // Keyed by shard. One setup-time miss per shard, then per-step hits on
-  // the serial path — the same plan_cache_{hits,misses} accounting as the
-  // SSL trainer and serving cache sites.
-  nn::PlanCache plan_cache;
-  auto record_judge_plan = [&](const JudgeHead& judge) {
-    nn::GraphRecorder recorder(/*training=*/true);
-    // Representative feature rows: only the shape matters; the values are
-    // rebound per sample.
-    nn::Tensor fi = nn::Tensor::FromMatrix(feature_cache.front());
-    nn::RecordPlanInput(fi);
-    nn::Tensor fj = nn::Tensor::FromMatrix(feature_cache.front());
-    nn::RecordPlanInput(fj);
-    util::Rng rec_rng(0);  // Structure is RNG-independent.
-    nn::Tensor logit = judge.CoLocationLogit(fi, fj, rec_rng, true);
-    nn::Tensor label = nn::Tensor::FromMatrix(nn::Matrix(1, 1, 1.0f));
-    nn::RecordPlanInput(label);
-    std::shared_ptr<const nn::Graph> plan =
-        recorder.Finish(nn::SigmoidBinaryCrossEntropy(logit, label));
-    // Fused training plans stay bitwise-identical to the eager tape.
-    if (options_.plan.fuse) plan = nn::FuseGraph(*plan);
-    return plan;
-  };
-  auto judge_plan_for = [&](uint64_t shard, const JudgeHead& judge) {
-    std::shared_ptr<const nn::Graph> plan = plan_cache.Get(shard);
-    if (plan == nullptr) {
-      plan = record_judge_plan(judge);
-      plan_cache.Put(shard, plan);
-    }
-    return plan;
-  };
-  auto bind_judge_inputs = [&](const LabeledPair& pair, nn::PlanRun& run) {
-    run.inputs.Reset();
-    run.inputs.AddDirect(feature_cache[pair.i].data());
-    run.inputs.AddDirect(feature_cache[pair.j].data());
-    run.inputs.AddStaged(&pair.label, 1);
-  };
-  if (use_plans) {
-    plan_runs.resize(batch_size);
-    if (num_shards > 1) {
-      plans.reserve(num_shards);
-      for (size_t s = 0; s < workers.size(); ++s) {
-        plans.push_back(judge_plan_for(s, *workers[s].judge));
-      }
-    } else {
-      plans.push_back(judge_plan_for(0, *judge_));
-    }
-  }
-  static obs::Counter* tensor_allocs =
-      obs::MetricsRegistry::Global().GetCounter("hisrect.nn.tensor_allocs");
-  const int64_t allocs_after_prewarm = tensor_allocs->Value();
-
   // Telemetry: decile "epoch" windows over the step budget. Pure observers —
   // reads of losses/params only, no RNG draws — so the trained trajectory is
   // bitwise-identical with telemetry on or off (tests/determinism_test.cc).
@@ -387,31 +322,7 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
     HISRECT_TRACE_SPAN("judge.step");
     obs::ScopedTimer step_timer(step_seconds);
     double loss_value = 0.0;
-    if (num_shards <= 1 && use_plans) {
-      // Planned serial path. The eager batch tape is
-      // Scale(Add(...Add(s_0, s_1)..., s_{B-1}), inv_batch); its backward
-      // visits the samples in reverse order and every sample root receives
-      // exactly inv_batch through the Add chain, so replaying the per-sample
-      // backward programs in reverse batch order with seed = inv_batch is
-      // bitwise-identical. (The eager path additionally accumulates unused
-      // gradients into the fixed featurizer; nothing reads those.)
-      // Per-step cache lookup (a hit after the setup miss) keeps this site's
-      // plan_cache stats consistent with the SSL and serving sites.
-      const std::shared_ptr<const nn::Graph> plan_ref = plan_cache.Get(0);
-      const nn::Graph& plan = plan_ref != nullptr ? *plan_ref : *plans[0];
-      float acc = 0.0f;
-      for (size_t b = 0; b < batch_size; ++b) {
-        LabeledPair pair = next_pair();
-        bind_judge_inputs(pair, plan_runs[b]);
-        nn::PlanExecutor::Forward(plan, plan_runs[b], &rng);
-        const float sample = nn::PlanExecutor::OutputScalar(plan, plan_runs[b]);
-        acc = b == 0 ? sample : acc + sample;
-      }
-      for (size_t b = batch_size; b-- > 0;) {
-        nn::PlanExecutor::Backward(plan, plan_runs[b], inv_batch);
-      }
-      loss_value = acc * inv_batch;
-    } else if (num_shards <= 1) {
+    if (num_shards <= 1) {
       // Serial single-tape path (bit-compatible with the original trainer).
       nn::Tensor loss;
       for (size_t b = 0; b < batch_size; ++b) {
@@ -452,24 +363,6 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
           thread_pool, batch_size, num_shards,
           [&](size_t shard, size_t begin, size_t end) {
             JudgeWorker& worker = workers[shard];
-            if (use_plans) {
-              // Same reverse-order backward argument as the serial planned
-              // path, applied per shard chain.
-              const nn::Graph& plan = *plans[shard];
-              float acc = 0.0f;
-              for (size_t b = begin; b < end; ++b) {
-                bind_judge_inputs(batch[b], plan_runs[b]);
-                nn::PlanExecutor::Forward(plan, plan_runs[b], &sample_rngs[b]);
-                const float sample =
-                    nn::PlanExecutor::OutputScalar(plan, plan_runs[b]);
-                acc = b == begin ? sample : acc + sample;
-              }
-              for (size_t b = end; b-- > begin;) {
-                nn::PlanExecutor::Backward(plan, plan_runs[b], inv_batch);
-              }
-              shard_losses[shard] = acc * inv_batch;
-              return;
-            }
             nn::Tensor loss;
             for (size_t b = begin; b < end; ++b) {
               const LabeledPair& pair = batch[b];
@@ -572,8 +465,6 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
           std::to_string(step));
     }
   }
-
-  stats->steady_tensor_allocs = tensor_allocs->Value() - allocs_after_prewarm;
 
   status = checkpointer.Finish(
       step, tail_count > 0 ? tail_loss / static_cast<double>(tail_count)

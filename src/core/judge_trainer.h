@@ -10,7 +10,6 @@
 #include "core/profile_encoder.h"
 #include "data/dataset.h"
 #include "nn/adam.h"
-#include "nn/plan_executor.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -37,12 +36,6 @@ struct JudgeTrainerOptions {
   /// Checkpoint/resume and NaN-divergence policy (prefix "judge").
   CheckpointOptions checkpoint;
   DivergenceGuardOptions guard;
-  /// plan.enabled replays one recorded judge-head plan over precomputed
-  /// features instead of rebuilding the eager tape per sample: zero
-  /// steady-state tensor allocations, bitwise-identical losses/parameters.
-  /// Ignored (eager fallback) when train_featurizer is true, since the
-  /// One-phase baseline's features are not step-invariant.
-  nn::PlanOptions plan;
 };
 
 struct JudgeTrainStats {
@@ -50,9 +43,6 @@ struct JudgeTrainStats {
   double final_loss = 0.0;
   /// Divergence-guard rollbacks taken during the run (0 = clean run).
   size_t rollbacks = 0;
-  /// Tensor nodes allocated after plan prewarm (planned path: 0 in steady
-  /// state; eager path: grows with every step).
-  int64_t steady_tensor_allocs = 0;
 };
 
 /// Trains the co-location judge (E', C) on the labeled pairs Gamma_L with

@@ -5,12 +5,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <utility>
 
-#include "nn/graph_optimizer.h"
-#include "nn/graph_recorder.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
@@ -38,14 +35,6 @@ struct SslWorker {
   std::unique_ptr<Embedder> embedder;  // Only when use_embedding.
   std::vector<nn::NamedParameter> poi_params;
   std::vector<nn::NamedParameter> unsup_params;
-};
-
-/// Recorded plans for one module set (the shared modules, or one worker
-/// replica), keyed by sample shape. PlanCache is not thread-safe; each
-/// SslPlanSet is touched by exactly one thread.
-struct SslPlanSet {
-  nn::PlanCache poi;    // key: tweet word count
-  nn::PlanCache unsup;  // key: (word count i) << 32 | (word count j)
 };
 
 }  // namespace
@@ -463,195 +452,6 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
     return loss_value;
   };
 
-  // ---- Recorded-plan execution (options_.plan.enabled) ----
-  // One plan per (loss kind, sample shape) and module set, recorded against
-  // the live parameter Nodes. CopyParameterValues and checkpoint restores
-  // rewrite the parameter matrices in place, so recorded plans stay valid
-  // across steps, rollbacks, and resumes.
-  const bool use_plans = options_.plan.enabled;
-  std::vector<SslPlanSet> plan_sets;
-  std::vector<nn::PlanRun> plan_runs;          // One reusable workspace per
-  std::vector<std::shared_ptr<const nn::Graph>> step_plans;  // batch slot.
-  if (use_plans) {
-    plan_sets.resize(num_shards > 1 ? num_shards : 1);
-    plan_runs.resize(batch_size);
-    step_plans.resize(batch_size);
-  }
-
-  auto poi_plan_key = [&](const EncodedProfile& profile) -> uint64_t {
-    return profile.words.size();
-  };
-  auto unsup_plan_key = [&](const WeightedPair& pair) -> uint64_t {
-    return (static_cast<uint64_t>(encoded[pair.i].words.size()) << 32) |
-           static_cast<uint64_t>(encoded[pair.j].words.size());
-  };
-
-  // Recording mirrors the eager sample builders op for op; the per-sample
-  // scalars (target class, pair weight) become plan inputs instead of baked
-  // constants so one plan serves every sample of the same shape. `rec_rng`
-  // is taken by value: recording consumes RNG draws for dropout masks, but
-  // the recorded *structure* is RNG-independent, so the copy keeps the
-  // caller's stream exactly where the eager path would leave it.
-  // Fused plans (options_.plan.fuse) run the GraphOptimizer rewrite after
-  // recording; fused training plans stay bitwise-identical to the eager
-  // tape, forward and backward.
-  auto maybe_fuse = [&](std::shared_ptr<const nn::Graph> plan) {
-    return options_.plan.fuse ? nn::FuseGraph(*plan) : plan;
-  };
-  auto record_poi_plan = [&](const HisRectFeaturizer& featurizer,
-                             const PoiClassifier& classifier,
-                             const EncodedProfile& profile,
-                             util::Rng rec_rng) {
-    nn::GraphRecorder recorder(/*training=*/true);
-    nn::Tensor feature = featurizer.Featurize(profile, rec_rng, true);
-    nn::Tensor logits = classifier.Logits(feature, rec_rng, true);
-    nn::Tensor target = nn::Tensor::FromMatrix(
-        nn::Matrix(1, 1, static_cast<float>(profile.pid)));
-    nn::RecordPlanInput(target);
-    return maybe_fuse(recorder.Finish(nn::SoftmaxCrossEntropy(logits, target)));
-  };
-  auto record_unsup_plan = [&](const HisRectFeaturizer& featurizer,
-                               const Embedder* embedder,
-                               const WeightedPair& pair, util::Rng rec_rng) {
-    nn::GraphRecorder recorder(/*training=*/true);
-    nn::Tensor fi = featurizer.Featurize(encoded[pair.i], rec_rng, true);
-    nn::Tensor fj = featurizer.Featurize(encoded[pair.j], rec_rng, true);
-    nn::Tensor ei = options_.use_embedding
-                        ? embedder->Embed(fi, rec_rng, true)
-                        : nn::L2NormalizeRow(fi);
-    nn::Tensor ej = options_.use_embedding
-                        ? embedder->Embed(fj, rec_rng, true)
-                        : nn::L2NormalizeRow(fj);
-    nn::Tensor sample_loss;
-    switch (options_.unsup_loss) {
-      case UnsupLossKind::kCosine: {
-        // Mirrors the eager Scale(dot, -w) + Add(.., const w) arithmetic with
-        // the weight staged as two 1x1 inputs (-w and w; float negation is
-        // exact, so the products match the eager path bitwise).
-        nn::Tensor dot = nn::Dot(ei, ej);
-        nn::Tensor neg_weight =
-            nn::Tensor::FromMatrix(nn::Matrix(1, 1, -pair.weight));
-        nn::RecordPlanInput(neg_weight);
-        nn::Tensor weight =
-            nn::Tensor::FromMatrix(nn::Matrix(1, 1, pair.weight));
-        nn::RecordPlanInput(weight);
-        sample_loss = nn::Add(nn::MulScalar(dot, neg_weight), weight);
-        break;
-      }
-      case UnsupLossKind::kSquaredL2: {
-        nn::Tensor weight =
-            nn::Tensor::FromMatrix(nn::Matrix(1, 1, pair.weight));
-        nn::RecordPlanInput(weight);
-        sample_loss = nn::MulScalar(nn::SquaredL2Diff(ei, ej), weight);
-        break;
-      }
-    }
-    return maybe_fuse(recorder.Finish(sample_loss));
-  };
-
-  // Input binding must mirror the leaf-declaration order above exactly.
-  // BindPlanInputs only reads the frozen embeddings and config, which are
-  // shared by all worker replicas, so the shared featurizer serves all.
-  auto bind_poi_inputs = [&](const EncodedProfile& profile, nn::PlanRun& run) {
-    run.inputs.Reset();
-    featurizer_->BindPlanInputs(profile, run.inputs);
-    const float target = static_cast<float>(profile.pid);
-    run.inputs.AddStaged(&target, 1);
-  };
-  auto bind_unsup_inputs = [&](const WeightedPair& pair, nn::PlanRun& run) {
-    run.inputs.Reset();
-    featurizer_->BindPlanInputs(encoded[pair.i], run.inputs);
-    featurizer_->BindPlanInputs(encoded[pair.j], run.inputs);
-    if (options_.unsup_loss == UnsupLossKind::kCosine) {
-      const float neg_weight = -pair.weight;
-      run.inputs.AddStaged(&neg_weight, 1);
-    }
-    const float weight = pair.weight;
-    run.inputs.AddStaged(&weight, 1);
-  };
-
-  // Cache lookups with record-on-miss (the prewarm below makes misses rare).
-  auto poi_plan_for = [&](SslPlanSet& plans,
-                          const HisRectFeaturizer& featurizer,
-                          const PoiClassifier& classifier,
-                          const EncodedProfile& profile,
-                          const util::Rng& sample_rng) {
-    const uint64_t key = poi_plan_key(profile);
-    std::shared_ptr<const nn::Graph> plan = plans.poi.Get(key);
-    if (plan == nullptr) {
-      plan = record_poi_plan(featurizer, classifier, profile, sample_rng);
-      plans.poi.Put(key, plan);
-    }
-    return plan;
-  };
-  auto unsup_plan_for = [&](SslPlanSet& plans,
-                            const HisRectFeaturizer& featurizer,
-                            const Embedder* embedder, const WeightedPair& pair,
-                            const util::Rng& sample_rng) {
-    const uint64_t key = unsup_plan_key(pair);
-    std::shared_ptr<const nn::Graph> plan = plans.unsup.Get(key);
-    if (plan == nullptr) {
-      plan = record_unsup_plan(featurizer, embedder, pair, sample_rng);
-      plans.unsup.Put(key, plan);
-    }
-    return plan;
-  };
-
-  // Prewarm: record every plan shape reachable from this run's data up
-  // front, so the step loop itself allocates nothing. Plan structure does
-  // not depend on the RNG or on parameter values, so a throwaway RNG is
-  // fine here and the prewarm leaves the trajectory untouched.
-  static obs::Counter* tensor_allocs =
-      obs::MetricsRegistry::Global().GetCounter("hisrect.nn.tensor_allocs");
-  if (use_plans) {
-    std::map<uint64_t, size_t> poi_shapes;  // word count -> representative
-    for (size_t index : labeled) {
-      poi_shapes.emplace(poi_plan_key(encoded[index]), index);
-    }
-    std::map<uint64_t, size_t> pair_shapes;
-    auto note_pairs = [&](const std::vector<WeightedPair>& source) {
-      for (const WeightedPair& pair : source) {
-        pair_shapes.emplace(encoded[pair.i].words.size(), pair.i);
-        pair_shapes.emplace(encoded[pair.j].words.size(), pair.j);
-      }
-    };
-    note_pairs(positives);
-    note_pairs(negatives);
-    note_pairs(unlabeled);
-    util::Rng warm_rng(0);
-    for (size_t s = 0; s < plan_sets.size(); ++s) {
-      const HisRectFeaturizer& featurizer =
-          num_shards > 1 ? *workers[s].featurizer : *featurizer_;
-      const PoiClassifier& classifier =
-          num_shards > 1 ? *workers[s].classifier : *classifier_;
-      const Embedder* embedder =
-          num_shards > 1 ? workers[s].embedder.get() : embedder_;
-      // Routed through the cache-lookup helpers (rather than direct Puts) so
-      // the prewarm's one-miss-per-shape shows up in
-      // `hisrect.nn.plan_cache_misses` like every other cache site.
-      for (const auto& [word_count, index] : poi_shapes) {
-        (void)word_count;
-        poi_plan_for(plan_sets[s], featurizer, classifier, encoded[index],
-                     warm_rng);
-      }
-      if (gamma_poi < 1.0) {
-        for (const auto& [wi, i] : pair_shapes) {
-          for (const auto& [wj, j] : pair_shapes) {
-            (void)wi;
-            (void)wj;
-            WeightedPair rep;
-            rep.i = i;
-            rep.j = j;
-            rep.weight = 1.0f;
-            rep.labeled = false;
-            unsup_plan_for(plan_sets[s], featurizer, embedder, rep, warm_rng);
-          }
-        }
-      }
-    }
-  }
-  const int64_t allocs_after_prewarm = tensor_allocs->Value();
-
   // Telemetry: decile "epoch" windows over the step budget. Pure observers —
   // reads of losses/params only, no RNG draws — so the trained trajectory is
   // bitwise-identical with telemetry on or off (tests/determinism_test.cc).
@@ -678,40 +478,7 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
     nn::Adam& active_optimizer = take_poi_step ? poi_optimizer : unsup_optimizer;
     double loss_value = 0.0;
 
-    if (num_shards <= 1 && use_plans) {
-      // Planned serial path. The eager batch tape is
-      // Scale(Add(...Add(s_0, s_1)..., s_{B-1}), scale); its backward visits
-      // the samples in reverse order and every sample root receives exactly
-      // `scale` through the Add chain, so replaying the per-sample backward
-      // programs in reverse batch order with seed = scale is
-      // bitwise-identical to the eager tape.
-      SslPlanSet& plans = plan_sets[0];
-      const float scale =
-          take_poi_step ? inv_batch : options_.unsup_weight * inv_batch;
-      float acc = 0.0f;
-      for (size_t b = 0; b < batch_size; ++b) {
-        nn::PlanRun& run = plan_runs[b];
-        std::shared_ptr<const nn::Graph> plan;
-        if (take_poi_step) {
-          size_t index = labeled[rng.UniformInt(labeled.size())];
-          plan = poi_plan_for(plans, *featurizer_, *classifier_,
-                              encoded[index], rng);
-          bind_poi_inputs(encoded[index], run);
-        } else {
-          WeightedPair pair = next_pair();
-          plan = unsup_plan_for(plans, *featurizer_, embedder_, pair, rng);
-          bind_unsup_inputs(pair, run);
-        }
-        nn::PlanExecutor::Forward(*plan, run, &rng);
-        const float sample = nn::PlanExecutor::OutputScalar(*plan, run);
-        acc = b == 0 ? sample : acc + sample;
-        step_plans[b] = std::move(plan);
-      }
-      for (size_t b = batch_size; b-- > 0;) {
-        nn::PlanExecutor::Backward(*step_plans[b], plan_runs[b], scale);
-      }
-      loss_value = acc * scale;
-    } else if (num_shards <= 1) {
+    if (num_shards <= 1) {
       // Serial single-tape path (bit-compatible with the original trainer).
       nn::Tensor loss;
       if (take_poi_step) {
@@ -749,30 +516,6 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
           thread_pool, batch_size, num_shards,
           [&](size_t shard, size_t begin, size_t end) {
             SslWorker& worker = workers[shard];
-            if (use_plans) {
-              // Same reverse-order backward argument as the serial planned
-              // path, applied per shard chain.
-              SslPlanSet& plans = plan_sets[shard];
-              float acc = 0.0f;
-              for (size_t b = begin; b < end; ++b) {
-                const EncodedProfile& profile = encoded[poi_batch[b]];
-                nn::PlanRun& run = plan_runs[b];
-                std::shared_ptr<const nn::Graph> plan =
-                    poi_plan_for(plans, *worker.featurizer, *worker.classifier,
-                                 profile, sample_rngs[b]);
-                bind_poi_inputs(profile, run);
-                nn::PlanExecutor::Forward(*plan, run, &sample_rngs[b]);
-                const float sample = nn::PlanExecutor::OutputScalar(*plan, run);
-                acc = b == begin ? sample : acc + sample;
-                step_plans[b] = std::move(plan);
-              }
-              for (size_t b = end; b-- > begin;) {
-                nn::PlanExecutor::Backward(*step_plans[b], plan_runs[b],
-                                           inv_batch);
-              }
-              shard_losses[shard] = acc * inv_batch;
-              return;
-            }
             nn::Tensor loss;
             for (size_t b = begin; b < end; ++b) {
               nn::Tensor sample_loss =
@@ -801,27 +544,6 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
           thread_pool, batch_size, num_shards,
           [&](size_t shard, size_t begin, size_t end) {
             SslWorker& worker = workers[shard];
-            if (use_plans) {
-              SslPlanSet& plans = plan_sets[shard];
-              const float scale = options_.unsup_weight * inv_batch;
-              float acc = 0.0f;
-              for (size_t b = begin; b < end; ++b) {
-                nn::PlanRun& run = plan_runs[b];
-                std::shared_ptr<const nn::Graph> plan = unsup_plan_for(
-                    plans, *worker.featurizer, worker.embedder.get(),
-                    pair_batch[b], sample_rngs[b]);
-                bind_unsup_inputs(pair_batch[b], run);
-                nn::PlanExecutor::Forward(*plan, run, &sample_rngs[b]);
-                const float sample = nn::PlanExecutor::OutputScalar(*plan, run);
-                acc = b == begin ? sample : acc + sample;
-                step_plans[b] = std::move(plan);
-              }
-              for (size_t b = end; b-- > begin;) {
-                nn::PlanExecutor::Backward(*step_plans[b], plan_runs[b], scale);
-              }
-              shard_losses[shard] = acc * scale;
-              return;
-            }
             nn::Tensor loss;
             for (size_t b = begin; b < end; ++b) {
               nn::Tensor sample_loss =
@@ -924,8 +646,6 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
           std::to_string(step));
     }
   }
-
-  stats->steady_tensor_allocs = tensor_allocs->Value() - allocs_after_prewarm;
 
   double final_poi =
       tail_poi_count > 0 ? tail_poi_loss / static_cast<double>(tail_poi_count)

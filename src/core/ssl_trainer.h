@@ -11,7 +11,6 @@
 #include "core/profile_encoder.h"
 #include "data/dataset.h"
 #include "nn/adam.h"
-#include "nn/plan_executor.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -55,10 +54,6 @@ struct SslTrainerOptions {
   /// Checkpoint/resume and NaN-divergence policy (prefix "ssl").
   CheckpointOptions checkpoint;
   DivergenceGuardOptions guard;
-  /// plan.enabled replays recorded graph plans (keyed by tweet word count)
-  /// instead of rebuilding the eager tape per sample: zero steady-state
-  /// tensor allocations, bitwise-identical losses/parameters.
-  nn::PlanOptions plan;
 };
 
 struct SslTrainStats {
@@ -69,9 +64,6 @@ struct SslTrainStats {
   double final_unsup_loss = 0.0;
   /// Divergence-guard rollbacks taken during the run (0 = clean run).
   size_t rollbacks = 0;
-  /// Tensor nodes allocated after plan prewarm (planned path: 0 in steady
-  /// state; eager path: grows with every step).
-  int64_t steady_tensor_allocs = 0;
 };
 
 /// Algorithm 1 of the paper: joint semi-supervised training of the HisRect

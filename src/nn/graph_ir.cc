@@ -25,14 +25,10 @@ float* ExecState::Ptr(int32_t buffer_id) const {
   const BufferDesc& b = graph->buffers[buffer_id];
   switch (b.kind) {
     case BufferDesc::Kind::kArena:
-    case BufferDesc::Kind::kArenaGrad:
     case BufferDesc::Kind::kAux:
-    case BufferDesc::Kind::kScratch:
       return arena + b.offset;
     case BufferDesc::Kind::kParamValue:
       return graph->params[b.ref]->value.data();
-    case BufferDesc::Kind::kParamGrad:
-      return graph->params[b.ref]->grad.data();
     case BufferDesc::Kind::kInput:
       return const_cast<float*>((*inputs)[b.ref]);
     case BufferDesc::Kind::kConstant:
@@ -51,8 +47,6 @@ float* ExecState::Ptr(int32_t buffer_id) const {
 // `a + (-1.0f) * b` is spelled that way because AddScaled spells it that
 // way.
 namespace {
-
-using Kind = BufferDesc::Kind;
 
 inline const BufferDesc& Buf(const Graph& g, int32_t id) {
   return g.buffers[id];
@@ -85,32 +79,6 @@ void MatMulForward(const Graph& g, const Instr& ins, const ExecState& st) {
              st.Ptr(ins.out));
 }
 
-void MatMulBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const BufferDesc& a = Buf(g, ins.in[0]);
-  const BufferDesc& b = Buf(g, ins.in[1]);
-  const BufferDesc& out = Buf(g, ins.out);
-  const float* gout = st.Ptr(ins.out_grad);
-  float* scratch = st.Ptr(ins.scratch);
-  if (ins.in_grad[0] >= 0) {
-    // dA = dOut * B^T, computed into scratch then accumulated — mirrors the
-    // eager temp-Matrix-then-AddInPlace, whose element order differs from an
-    // in-place accumulating GEMM.
-    MatMulTransposedBInto(gout, out.rows, out.cols, st.Ptr(ins.in[1]), b.rows,
-                          scratch);
-    float* ga = st.Ptr(ins.in_grad[0]);
-    const size_t n = a.size();
-    for (size_t i = 0; i < n; ++i) ga[i] += scratch[i];
-  }
-  if (ins.in_grad[1] >= 0) {
-    // dB = A^T * dOut.
-    MatMulTransposedAInto(st.Ptr(ins.in[0]), a.rows, a.cols, gout, out.cols,
-                          scratch);
-    float* gb = st.Ptr(ins.in_grad[1]);
-    const size_t n = b.size();
-    for (size_t i = 0; i < n; ++i) gb[i] += scratch[i];
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Elementwise binary: kAdd, kSub, kMul
 
@@ -129,16 +97,6 @@ void AddForward(const Graph& g, const Instr& ins, const ExecState& st) {
   for (size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void AddBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* gout = st.Ptr(ins.out_grad);
-  const size_t n = Buf(g, ins.out).size();
-  for (int operand = 0; operand < 2; ++operand) {
-    if (ins.in_grad[operand] < 0) continue;
-    float* gin = st.Ptr(ins.in_grad[operand]);
-    for (size_t i = 0; i < n; ++i) gin[i] += gout[i];
-  }
-}
-
 void SubForward(const Graph& g, const Instr& ins, const ExecState& st) {
   const float* a = st.Ptr(ins.in[0]);
   const float* b = st.Ptr(ins.in[1]);
@@ -151,40 +109,12 @@ void SubForward(const Graph& g, const Instr& ins, const ExecState& st) {
   }
 }
 
-void SubBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* gout = st.Ptr(ins.out_grad);
-  const size_t n = Buf(g, ins.out).size();
-  if (ins.in_grad[0] >= 0) {
-    float* ga = st.Ptr(ins.in_grad[0]);
-    for (size_t i = 0; i < n; ++i) ga[i] += gout[i];
-  }
-  if (ins.in_grad[1] >= 0) {
-    float* gb = st.Ptr(ins.in_grad[1]);
-    for (size_t i = 0; i < n; ++i) gb[i] += -1.0f * gout[i];
-  }
-}
-
 void MulForward(const Graph& g, const Instr& ins, const ExecState& st) {
   const float* a = st.Ptr(ins.in[0]);
   const float* b = st.Ptr(ins.in[1]);
   float* out = st.Ptr(ins.out);
   const size_t n = Buf(g, ins.out).size();
   for (size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-void MulBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* gout = st.Ptr(ins.out_grad);
-  const size_t n = Buf(g, ins.out).size();
-  if (ins.in_grad[0] >= 0) {
-    const float* b = st.Ptr(ins.in[1]);
-    float* ga = st.Ptr(ins.in_grad[0]);
-    for (size_t i = 0; i < n; ++i) ga[i] += gout[i] * b[i];
-  }
-  if (ins.in_grad[1] >= 0) {
-    const float* a = st.Ptr(ins.in[0]);
-    float* gb = st.Ptr(ins.in_grad[1]);
-    for (size_t i = 0; i < n; ++i) gb[i] += gout[i] * a[i];
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -211,24 +141,6 @@ void AddBroadcastRowForward(const Graph& g, const Instr& ins,
   }
 }
 
-void AddBroadcastRowBackward(const Graph& g, const Instr& ins,
-                             const ExecState& st) {
-  const BufferDesc& out = Buf(g, ins.out);
-  const float* gout = st.Ptr(ins.out_grad);
-  if (ins.in_grad[0] >= 0) {
-    float* gx = st.Ptr(ins.in_grad[0]);
-    const size_t n = out.size();
-    for (size_t i = 0; i < n; ++i) gx[i] += gout[i];
-  }
-  if (ins.in_grad[1] >= 0) {
-    float* grow = st.Ptr(ins.in_grad[1]);
-    for (size_t i = 0; i < out.rows; ++i) {
-      const float* g_row = gout + i * out.cols;
-      for (size_t j = 0; j < out.cols; ++j) grow[j] += g_row[j];
-    }
-  }
-}
-
 void MulBroadcastRowForward(const Graph& g, const Instr& ins,
                             const ExecState& st) {
   const BufferDesc& x = Buf(g, ins.in[0]);
@@ -239,31 +151,6 @@ void MulBroadcastRowForward(const Graph& g, const Instr& ins,
     const float* x_row = xv + i * x.cols;
     float* out_row = out + i * x.cols;
     for (size_t j = 0; j < x.cols; ++j) out_row[j] = x_row[j] * r[j];
-  }
-}
-
-void MulBroadcastRowBackward(const Graph& g, const Instr& ins,
-                             const ExecState& st) {
-  const BufferDesc& out = Buf(g, ins.out);
-  const float* gout = st.Ptr(ins.out_grad);
-  const size_t cols = out.cols;
-  if (ins.in_grad[0] >= 0) {
-    const float* r = st.Ptr(ins.in[1]);
-    float* gx = st.Ptr(ins.in_grad[0]);
-    for (size_t i = 0; i < out.rows; ++i) {
-      const float* g_row = gout + i * cols;
-      float* gx_row = gx + i * cols;
-      for (size_t j = 0; j < cols; ++j) gx_row[j] += g_row[j] * r[j];
-    }
-  }
-  if (ins.in_grad[1] >= 0) {
-    const float* xv = st.Ptr(ins.in[0]);
-    float* grow = st.Ptr(ins.in_grad[1]);
-    for (size_t i = 0; i < out.rows; ++i) {
-      const float* g_row = gout + i * cols;
-      const float* x_row = xv + i * cols;
-      for (size_t j = 0; j < cols; ++j) grow[j] += g_row[j] * x_row[j];
-    }
   }
 }
 
@@ -283,29 +170,11 @@ void ScaleForward(const Graph& g, const Instr& ins, const ExecState& st) {
   for (size_t i = 0; i < n; ++i) out[i] = x[i] * s;
 }
 
-void ScaleBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const float s = ins.fattr;
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) gx[i] += s * gout[i];
-}
-
 void ReluForward(const Graph& g, const Instr& ins, const ExecState& st) {
   const float* x = st.Ptr(ins.in[0]);
   float* out = st.Ptr(ins.out);
   const size_t n = Buf(g, ins.out).size();
   for (size_t i = 0; i < n; ++i) out[i] = std::max(0.0f, x[i]);
-}
-
-void ReluBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const float* x = st.Ptr(ins.in[0]);
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) gx[i] += x[i] > 0.0f ? gout[i] : 0.0f;
 }
 
 void TanhForward(const Graph& g, const Instr& ins, const ExecState& st) {
@@ -315,15 +184,6 @@ void TanhForward(const Graph& g, const Instr& ins, const ExecState& st) {
   for (size_t i = 0; i < n; ++i) out[i] = std::tanh(x[i]);
 }
 
-void TanhBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const float* y = st.Ptr(ins.out);
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) gx[i] += gout[i] * (1.0f - y[i] * y[i]);
-}
-
 void SigmoidForward(const Graph& g, const Instr& ins, const ExecState& st) {
   const float* x = st.Ptr(ins.in[0]);
   float* out = st.Ptr(ins.out);
@@ -331,33 +191,11 @@ void SigmoidForward(const Graph& g, const Instr& ins, const ExecState& st) {
   for (size_t i = 0; i < n; ++i) out[i] = SigmoidValue(x[i]);
 }
 
-void SigmoidBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const float* y = st.Ptr(ins.out);
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) gx[i] += gout[i] * y[i] * (1.0f - y[i]);
-}
-
 void AbsForward(const Graph& g, const Instr& ins, const ExecState& st) {
   const float* x = st.Ptr(ins.in[0]);
   float* out = st.Ptr(ins.out);
   const size_t n = Buf(g, ins.out).size();
   for (size_t i = 0; i < n; ++i) out[i] = std::fabs(x[i]);
-}
-
-void AbsBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const float* x = st.Ptr(ins.in[0]);
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) {
-    float v = x[i];
-    float sign = v > 0.0f ? 1.0f : (v < 0.0f ? -1.0f : 0.0f);
-    gx[i] += gout[i] * sign;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -388,31 +226,6 @@ void ConcatColsForward(const Graph& g, const Instr& ins, const ExecState& st) {
   }
 }
 
-void ConcatColsBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const BufferDesc& a = Buf(g, ins.in[0]);
-  const BufferDesc& b = Buf(g, ins.in[1]);
-  const float* gout = st.Ptr(ins.out_grad);
-  const size_t rows = Buf(g, ins.out).rows;
-  const size_t na = a.cols;
-  const size_t nb = b.cols;
-  if (ins.in_grad[0] >= 0) {
-    float* ga = st.Ptr(ins.in_grad[0]);
-    for (size_t i = 0; i < rows; ++i) {
-      const float* g_row = gout + i * (na + nb);
-      float* ga_row = ga + i * na;
-      for (size_t j = 0; j < na; ++j) ga_row[j] += g_row[j];
-    }
-  }
-  if (ins.in_grad[1] >= 0) {
-    float* gb = st.Ptr(ins.in_grad[1]);
-    for (size_t i = 0; i < rows; ++i) {
-      const float* g_row = gout + i * (na + nb) + na;
-      float* gb_row = gb + i * nb;
-      for (size_t j = 0; j < nb; ++j) gb_row[j] += g_row[j];
-    }
-  }
-}
-
 std::pair<uint32_t, uint32_t> SliceColsShape(
     const Instr& ins, const std::vector<BufferDesc>& bufs) {
   auto [xr, xc] = Shape(ins, bufs, 0);
@@ -432,20 +245,6 @@ void SliceColsForward(const Graph& g, const Instr& ins, const ExecState& st) {
   }
 }
 
-void SliceColsBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const size_t start = static_cast<size_t>(ins.iattr0);
-  const size_t count = static_cast<size_t>(ins.iattr1);
-  for (size_t i = 0; i < Buf(g, ins.out).rows; ++i) {
-    const float* g_row = gout + i * count;
-    float* gx_row = gx + i * x.cols + start;
-    for (size_t j = 0; j < count; ++j) gx_row[j] += g_row[j];
-  }
-}
-
 std::pair<uint32_t, uint32_t> SliceRowsShape(
     const Instr& ins, const std::vector<BufferDesc>& bufs) {
   auto [xr, xc] = Shape(ins, bufs, 0);
@@ -460,21 +259,6 @@ void SliceRowsForward(const Graph& g, const Instr& ins, const ExecState& st) {
   const size_t start = static_cast<size_t>(ins.iattr0);
   const size_t count = static_cast<size_t>(ins.iattr1);
   std::copy(xv + start * x.cols, xv + (start + count) * x.cols, out);
-}
-
-void SliceRowsBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const size_t start = static_cast<size_t>(ins.iattr0);
-  const size_t count = static_cast<size_t>(ins.iattr1);
-  const size_t cols = x.cols;
-  for (size_t i = 0; i < count; ++i) {
-    const float* g_row = gout + i * cols;
-    float* gx_row = gx + (start + i) * cols;
-    for (size_t j = 0; j < cols; ++j) gx_row[j] += g_row[j];
-  }
 }
 
 std::pair<uint32_t, uint32_t> RowStackShape(
@@ -494,17 +278,6 @@ void RowStackForward(const Graph& g, const Instr& ins, const ExecState& st) {
   for (size_t i = 0; i < ins.in.size(); ++i) {
     const float* row = st.Ptr(ins.in[i]);
     std::copy(row, row + cols, out + i * cols);
-  }
-}
-
-void RowStackBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* gout = st.Ptr(ins.out_grad);
-  const size_t cols = Buf(g, ins.out).cols;
-  for (size_t i = 0; i < ins.in.size(); ++i) {
-    if (ins.in_grad[i] < 0) continue;
-    float* gp = st.Ptr(ins.in_grad[i]);
-    const float* g_row = gout + i * cols;
-    for (size_t j = 0; j < cols; ++j) gp[j] += g_row[j];
   }
 }
 
@@ -536,19 +309,6 @@ void MeanRowsForward(const Graph& g, const Instr& ins, const ExecState& st) {
   }
 }
 
-void MeanRowsBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const size_t cols = x.cols;
-  const float inv = 1.0f / static_cast<float>(x.rows);
-  for (size_t i = 0; i < x.rows; ++i) {
-    float* gx_row = gx + i * cols;
-    for (size_t j = 0; j < cols; ++j) gx_row[j] += gout[j] * inv;
-  }
-}
-
 std::pair<uint32_t, uint32_t> ScalarShape(const Instr& ins,
                                           const std::vector<BufferDesc>& bufs) {
   (void)ins;
@@ -564,26 +324,11 @@ void SumAllForward(const Graph& g, const Instr& ins, const ExecState& st) {
   st.Ptr(ins.out)[0] = static_cast<float>(total);
 }
 
-void SumAllBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const float gv = st.Ptr(ins.out_grad)[0];
-  const size_t n = Buf(g, ins.in[0]).size();
-  for (size_t i = 0; i < n; ++i) gx[i] += gv;
-}
-
 std::pair<uint32_t, uint32_t> L2NormalizeRowShape(
     const Instr& ins, const std::vector<BufferDesc>& bufs) {
   auto [xr, xc] = Shape(ins, bufs, 0);
   if (xr != 1) return kBadShape;
   return {1, xc};
-}
-
-std::pair<uint32_t, uint32_t> OneFloatAux(const Instr& ins,
-                                          const std::vector<BufferDesc>& bufs) {
-  (void)ins;
-  (void)bufs;
-  return {1, 1};
 }
 
 void L2NormalizeRowForward(const Graph& g, const Instr& ins,
@@ -598,26 +343,7 @@ void L2NormalizeRowForward(const Graph& g, const Instr& ins,
   }
   float norm = static_cast<float>(std::sqrt(norm_sq + kEps));
   float inv = 1.0f / norm;
-  st.Ptr(ins.aux)[0] = inv;
   for (size_t i = 0; i < n; ++i) out[i] = v[i] * inv;
-}
-
-void L2NormalizeRowBackward(const Graph& g, const Instr& ins,
-                            const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const float* y = st.Ptr(ins.out);
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const float inv = st.Ptr(ins.aux)[0];
-  const size_t n = Buf(g, ins.out).size();
-  double dot = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    dot += static_cast<double>(gout[i]) * y[i];
-  }
-  float dot_f = static_cast<float>(dot);
-  for (size_t i = 0; i < n; ++i) {
-    gx[i] += (gout[i] - y[i] * dot_f) * inv;
-  }
 }
 
 void DotForward(const Graph& g, const Instr& ins, const ExecState& st) {
@@ -629,130 +355,6 @@ void DotForward(const Graph& g, const Instr& ins, const ExecState& st) {
     acc += static_cast<double>(a[i]) * b[i];
   }
   st.Ptr(ins.out)[0] = static_cast<float>(acc);
-}
-
-void DotBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float gv = st.Ptr(ins.out_grad)[0];
-  const size_t n = Buf(g, ins.in[0]).size();
-  if (ins.in_grad[0] >= 0) {
-    const float* b = st.Ptr(ins.in[1]);
-    float* ga = st.Ptr(ins.in_grad[0]);
-    for (size_t i = 0; i < n; ++i) ga[i] += gv * b[i];
-  }
-  if (ins.in_grad[1] >= 0) {
-    const float* a = st.Ptr(ins.in[0]);
-    float* gb = st.Ptr(ins.in_grad[1]);
-    for (size_t i = 0; i < n; ++i) gb[i] += gv * a[i];
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Losses: kSoftmaxCrossEntropy, kSigmoidBinaryCrossEntropy
-
-std::pair<uint32_t, uint32_t> SoftmaxCrossEntropyAux(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [lr, lc] = Shape(ins, bufs, 0);
-  (void)lr;
-  return {1, lc};
-}
-
-inline size_t SceTarget(const Instr& ins, const ExecState& st) {
-  if (ins.in.size() == 2) {
-    // Tensor-operand variant: the target class id is float-encoded in a 1x1
-    // input, cast exactly as the eager overload casts it.
-    return static_cast<size_t>(st.Ptr(ins.in[1])[0]);
-  }
-  return static_cast<size_t>(ins.iattr0);
-}
-
-void SoftmaxCrossEntropyForward(const Graph& g, const Instr& ins,
-                                const ExecState& st) {
-  const float* logits = st.Ptr(ins.in[0]);
-  float* probs = st.Ptr(ins.aux);
-  const size_t n = Buf(g, ins.in[0]).size();
-  // SoftmaxValues, into the aux buffer.
-  float max_logit = logits[0];
-  for (size_t i = 1; i < n; ++i) max_logit = std::max(max_logit, logits[i]);
-  double total = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    probs[i] = std::exp(logits[i] - max_logit);
-    total += probs[i];
-  }
-  float inv = static_cast<float>(1.0 / total);
-  for (size_t i = 0; i < n; ++i) probs[i] *= inv;
-  const size_t target = SceTarget(ins, st);
-  float p_target = std::max(probs[target], 1e-12f);
-  st.Ptr(ins.out)[0] = -std::log(p_target);
-}
-
-void SoftmaxCrossEntropyBackward(const Graph& g, const Instr& ins,
-                                 const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const float* probs = st.Ptr(ins.aux);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const float gv = st.Ptr(ins.out_grad)[0];
-  const size_t n = Buf(g, ins.in[0]).size();
-  const size_t target = SceTarget(ins, st);
-  for (size_t j = 0; j < n; ++j) {
-    float indicator = (j == target) ? 1.0f : 0.0f;
-    gx[j] += gv * (probs[j] - indicator);
-  }
-}
-
-inline float SbceLabel(const Instr& ins, const ExecState& st) {
-  return ins.in.size() == 2 ? st.Ptr(ins.in[1])[0] : ins.fattr;
-}
-
-void SigmoidBinaryCrossEntropyForward(const Graph& g, const Instr& ins,
-                                      const ExecState& st) {
-  (void)g;
-  const float z = st.Ptr(ins.in[0])[0];
-  const float label = SbceLabel(ins, st);
-  st.Ptr(ins.out)[0] =
-      std::max(z, 0.0f) - z * label + std::log1p(std::exp(-std::fabs(z)));
-}
-
-void SigmoidBinaryCrossEntropyBackward(const Graph& g, const Instr& ins,
-                                       const ExecState& st) {
-  (void)g;
-  if (ins.in_grad[0] < 0) return;
-  const float z = st.Ptr(ins.in[0])[0];
-  const float label = SbceLabel(ins, st);
-  float p = SigmoidValue(z);
-  st.Ptr(ins.in_grad[0])[0] += st.Ptr(ins.out_grad)[0] * (p - label);
-}
-
-// ---------------------------------------------------------------------------
-// kDropout
-
-std::pair<uint32_t, uint32_t> DropoutAux(const Instr& ins,
-                                         const std::vector<BufferDesc>& bufs) {
-  return Shape(ins, bufs, 0);
-}
-
-void DropoutForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* x = st.Ptr(ins.in[0]);
-  float* mask = st.Ptr(ins.aux);
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.out).size();
-  const float keep = 1.0f - ins.fattr;
-  const float inv_keep = 1.0f / keep;
-  // Same Bernoulli stream, same element order as the eager op: the executor
-  // binds the caller's Rng, so an eager run and a plan replay from the same
-  // Rng state draw identical masks.
-  for (size_t i = 0; i < n; ++i) {
-    mask[i] = st.rng->Bernoulli(keep) ? inv_keep : 0.0f;
-  }
-  for (size_t i = 0; i < n; ++i) out[i] = x[i] * mask[i];
-}
-
-void DropoutBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const float* mask = st.Ptr(ins.aux);
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) gx[i] += gout[i] * mask[i];
 }
 
 // ---------------------------------------------------------------------------
@@ -785,73 +387,14 @@ void Conv1dSameForward(const Graph& g, const Instr& ins, const ExecState& st) {
   }
 }
 
-void Conv1dSameBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* gout = st.Ptr(ins.out_grad);
-  const size_t n = Buf(g, ins.in[0]).cols;
-  const size_t k = Buf(g, ins.in[1]).cols;
-  const size_t half = k / 2;
-  if (ins.in_grad[0] >= 0) {
-    const float* kv = st.Ptr(ins.in[1]);
-    float* gx = st.Ptr(ins.in_grad[0]);
-    for (size_t j = 0; j < n; ++j) {
-      for (size_t d = 0; d < k; ++d) {
-        int64_t idx = static_cast<int64_t>(j) + static_cast<int64_t>(d) -
-                      static_cast<int64_t>(half);
-        if (idx < 0 || idx >= static_cast<int64_t>(n)) continue;
-        gx[idx] += gout[j] * kv[d];
-      }
-    }
-  }
-  if (ins.in_grad[1] >= 0) {
-    const float* xv = st.Ptr(ins.in[0]);
-    float* gk = st.Ptr(ins.in_grad[1]);
-    for (size_t j = 0; j < n; ++j) {
-      for (size_t d = 0; d < k; ++d) {
-        int64_t idx = static_cast<int64_t>(j) + static_cast<int64_t>(d) -
-                      static_cast<int64_t>(half);
-        if (idx < 0 || idx >= static_cast<int64_t>(n)) continue;
-        gk[d] += gout[j] * xv[idx];
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// kMulScalar
-
-std::pair<uint32_t, uint32_t> MulScalarShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [sr, sc] = Shape(ins, bufs, 1);
-  if (sr != 1 || sc != 1) return kBadShape;
-  return Shape(ins, bufs, 0);
-}
-
-void MulScalarForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* x = st.Ptr(ins.in[0]);
-  const float s = st.Ptr(ins.in[1])[0];
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) out[i] = x[i] * s;
-}
-
-void MulScalarBackward(const Graph& g, const Instr& ins, const ExecState& st) {
-  if (ins.in_grad[0] < 0) return;
-  const float s = st.Ptr(ins.in[1])[0];
-  const float* gout = st.Ptr(ins.out_grad);
-  float* gx = st.Ptr(ins.in_grad[0]);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) gx[i] += s * gout[i];
-}
-
 // ---------------------------------------------------------------------------
 // kFusedLinear / kFusedLinearRelu / kFusedLinearTanh
 //
 // Single-kernel replacements for the MatMul → AddBroadcastRow → activation
 // chains GraphOptimizer detects (in = [x, W, bias]). The fused kernel runs
 // the exact same per-element expressions in the exact same order as the
-// three unfused kernels it replaces; the only difference is that the two
-// intermediate value buffers and one intermediate grad buffer collapse into
-// the output / aux / scratch of a single instr.
+// three unfused kernels it replaces, in place in the output buffer; the two
+// intermediate value buffers of the unfused chain disappear.
 
 enum class FusedAct : uint8_t { kNone, kRelu, kTanh };
 
@@ -864,123 +407,42 @@ std::pair<uint32_t, uint32_t> FusedLinearShape(
   return {xr, wc};
 }
 
-std::pair<uint32_t, uint32_t> FusedLinearAuxShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  return FusedLinearShape(ins, bufs);
-}
-
 void FusedLinearForwardImpl(const Graph& g, const Instr& ins,
                             const ExecState& st, FusedAct act) {
   const BufferDesc& x = Buf(g, ins.in[0]);
   const BufferDesc& w = Buf(g, ins.in[1]);
   const BufferDesc& out = Buf(g, ins.out);
-  // Pre-activation values land in aux when backward needs them (ReLU
-  // training plans), else straight in the output buffer.
-  float* lin = ins.aux >= 0 ? st.Ptr(ins.aux) : st.Ptr(ins.out);
+  float* o = st.Ptr(ins.out);
   MatMulInto(st.Ptr(ins.in[0]), x.rows, x.cols, st.Ptr(ins.in[1]), w.cols,
-             lin);
+             o);
   const float* bias = st.Ptr(ins.in[2]);
   for (size_t i = 0; i < out.rows; ++i) {
-    float* row = lin + i * out.cols;
+    float* row = o + i * out.cols;
     for (size_t j = 0; j < out.cols; ++j) row[j] = row[j] + bias[j];
   }
-  float* o = st.Ptr(ins.out);
   const size_t n = out.size();
   switch (act) {
     case FusedAct::kNone:
-      if (lin != o) std::copy(lin, lin + n, o);
       break;
     case FusedAct::kRelu:
-      for (size_t i = 0; i < n; ++i) o[i] = std::max(0.0f, lin[i]);
+      for (size_t i = 0; i < n; ++i) o[i] = std::max(0.0f, o[i]);
       break;
     case FusedAct::kTanh:
-      for (size_t i = 0; i < n; ++i) o[i] = std::tanh(lin[i]);
+      for (size_t i = 0; i < n; ++i) o[i] = std::tanh(o[i]);
       break;
-  }
-}
-
-void FusedLinearBackwardImpl(const Graph& g, const Instr& ins,
-                             const ExecState& st, FusedAct act) {
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const BufferDesc& w = Buf(g, ins.in[1]);
-  const BufferDesc& out = Buf(g, ins.out);
-  const float* gout = st.Ptr(ins.out_grad);
-  // Scratch layout: [g_lin: out.size() floats][GEMM temp]. g_lin is the
-  // intermediate (pre-bias) gradient, rebuilt with zero-then-`+=` exactly as
-  // the eager tape accumulates the grad buffers it replaces. `0.0f + v`
-  // never yields -0.0f, so the one buffer serves bitwise for both collapsed
-  // intermediate grads (activation-input grad and matmul-output grad).
-  float* g_lin = st.Ptr(ins.scratch);
-  float* temp = g_lin + out.size();
-  const size_t n = out.size();
-  std::fill(g_lin, g_lin + n, 0.0f);
-  switch (act) {
-    case FusedAct::kNone:
-      for (size_t i = 0; i < n; ++i) g_lin[i] += gout[i];
-      break;
-    case FusedAct::kRelu: {
-      const float* pre = st.Ptr(ins.aux);
-      for (size_t i = 0; i < n; ++i) {
-        g_lin[i] += pre[i] > 0.0f ? gout[i] : 0.0f;
-      }
-      break;
-    }
-    case FusedAct::kTanh: {
-      const float* y = st.Ptr(ins.out);
-      for (size_t i = 0; i < n; ++i) {
-        g_lin[i] += gout[i] * (1.0f - y[i] * y[i]);
-      }
-      break;
-    }
-  }
-  if (ins.in_grad[2] >= 0) {
-    // Bias rows accumulate from the same buffer the eager AddBroadcastRow
-    // backward reads: the incoming grad itself when there is no activation.
-    const float* gbias_src = act == FusedAct::kNone ? gout : g_lin;
-    float* gbias = st.Ptr(ins.in_grad[2]);
-    for (size_t i = 0; i < out.rows; ++i) {
-      const float* g_row = gbias_src + i * out.cols;
-      for (size_t j = 0; j < out.cols; ++j) gbias[j] += g_row[j];
-    }
-  }
-  if (ins.in_grad[0] >= 0) {
-    MatMulTransposedBInto(g_lin, out.rows, out.cols, st.Ptr(ins.in[1]),
-                          w.rows, temp);
-    float* gx = st.Ptr(ins.in_grad[0]);
-    const size_t nx = x.size();
-    for (size_t i = 0; i < nx; ++i) gx[i] += temp[i];
-  }
-  if (ins.in_grad[1] >= 0) {
-    MatMulTransposedAInto(st.Ptr(ins.in[0]), x.rows, x.cols, g_lin, out.cols,
-                          temp);
-    float* gw = st.Ptr(ins.in_grad[1]);
-    const size_t nw = w.size();
-    for (size_t i = 0; i < nw; ++i) gw[i] += temp[i];
   }
 }
 
 void FusedLinearForward(const Graph& g, const Instr& ins, const ExecState& st) {
   FusedLinearForwardImpl(g, ins, st, FusedAct::kNone);
 }
-void FusedLinearBackward(const Graph& g, const Instr& ins,
-                         const ExecState& st) {
-  FusedLinearBackwardImpl(g, ins, st, FusedAct::kNone);
-}
 void FusedLinearReluForward(const Graph& g, const Instr& ins,
                             const ExecState& st) {
   FusedLinearForwardImpl(g, ins, st, FusedAct::kRelu);
 }
-void FusedLinearReluBackward(const Graph& g, const Instr& ins,
-                             const ExecState& st) {
-  FusedLinearBackwardImpl(g, ins, st, FusedAct::kRelu);
-}
 void FusedLinearTanhForward(const Graph& g, const Instr& ins,
                             const ExecState& st) {
   FusedLinearForwardImpl(g, ins, st, FusedAct::kTanh);
-}
-void FusedLinearTanhBackward(const Graph& g, const Instr& ins,
-                             const ExecState& st) {
-  FusedLinearBackwardImpl(g, ins, st, FusedAct::kTanh);
 }
 
 // ---------------------------------------------------------------------------
@@ -991,7 +453,7 @@ void FusedLinearTanhBackward(const Graph& g, const Instr& ins,
 // the same MatMulInto kernel the eager chain uses — x@W lands in the output
 // buffer, h@U in aux — and the epilogue reassociates nothing: (t1 + t2) + b_j
 // is exactly the eager Add followed by AddBroadcastRow, so the fused op is
-// bitwise. Inference plans only; its backward is unreachable.
+// bitwise.
 
 std::pair<uint32_t, uint32_t> FusedDualLinearShape(
     const Instr& ins, const std::vector<BufferDesc>& bufs) {
@@ -1003,12 +465,6 @@ std::pair<uint32_t, uint32_t> FusedDualLinearShape(
   if (xr != hr || xc != wr || hc != ur || wc != uc) return kBadShape;
   if (br != 1 || bc != wc) return kBadShape;
   return {xr, wc};
-}
-
-std::pair<uint32_t, uint32_t> FusedDualLinearAuxShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  // Holds the h@U product while the epilogue sums.
-  return FusedDualLinearShape(ins, bufs);
 }
 
 void FusedDualLinearForward(const Graph& g, const Instr& ins,
@@ -1034,14 +490,6 @@ void FusedDualLinearForward(const Graph& g, const Instr& ins,
   }
 }
 
-void DualLinearBackwardUnreachable(const Graph& g, const Instr& ins,
-                                   const ExecState& st) {
-  (void)g;
-  (void)ins;
-  (void)st;
-  CHECK(false) << "dual-linear fusion is inference-only";
-}
-
 // ---------------------------------------------------------------------------
 // kQuantLinear / kQuantLinearRelu / kQuantLinearTanh
 //
@@ -1050,14 +498,6 @@ void DualLinearBackwardUnreachable(const Graph& g, const Instr& ins,
 // contiguously); activations quantized at run time with the static
 // calibration scale; int32 accumulation; fp32 epilogue with bias +
 // activation. NOT bitwise vs fp32 — gated by AUC deltas instead.
-
-std::pair<uint32_t, uint32_t> QuantLinearAuxShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [xr, xc] = Shape(ins, bufs, 0);
-  // Byte buffer for the quantized activations, carried in float arena slots.
-  const uint32_t nx = xr * xc;
-  return {1, (nx + 3) / 4};
-}
 
 #if defined(HISRECT_QUANT_AVX2)
 bool QuantCpuHasAvx2() {
@@ -1266,14 +706,6 @@ void QuantLinearTanhForward(const Graph& g, const Instr& ins,
   QuantLinearForwardImpl(g, ins, st, FusedAct::kTanh);
 }
 
-void QuantLinearBackwardUnreachable(const Graph& g, const Instr& ins,
-                                    const ExecState& st) {
-  (void)g;
-  (void)ins;
-  (void)st;
-  CHECK(false) << "quantized plans are inference-only";
-}
-
 // ---------------------------------------------------------------------------
 // kQuantDualLinear
 //
@@ -1282,14 +714,6 @@ void QuantLinearBackwardUnreachable(const Graph& g, const Instr& ins,
 // both quantized activation vectors back to back. Accumulation stays int32
 // per operand, the fp32 epilogue dequantizes each product with its own
 // scale pair before adding the bias.
-
-std::pair<uint32_t, uint32_t> QuantDualLinearAuxShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [xr, xc] = Shape(ins, bufs, 0);
-  auto [hr, hc] = Shape(ins, bufs, 1);
-  const uint32_t nbytes = xr * xc + hr * hc;
-  return {1, (nbytes + 3) / 4};
-}
 
 void QuantDualLinearForward(const Graph& g, const Instr& ins,
                             const ExecState& st) {
@@ -1353,98 +777,49 @@ const OpSchema* BuildRegistry() {
   auto at = [&](OpKind k) -> OpSchema& {
     return schemas[static_cast<size_t>(k)];
   };
-  at(OpKind::kMatMul) = {"MatMul", 2, 2, MatMulShape, MatMulForward,
-                         MatMulBackward, false, true, nullptr};
-  at(OpKind::kAdd) = {"Add", 2, 2, SameShape2, AddForward, AddBackward,
-                      false, false, nullptr};
-  at(OpKind::kSub) = {"Sub", 2, 2, SameShape2, SubForward, SubBackward,
-                      false, false, nullptr};
-  at(OpKind::kMul) = {"Mul", 2, 2, SameShape2, MulForward, MulBackward,
-                      false, true, nullptr};
+  at(OpKind::kMatMul) = {"MatMul", 2, 2, MatMulShape, MatMulForward};
+  at(OpKind::kAdd) = {"Add", 2, 2, SameShape2, AddForward};
+  at(OpKind::kSub) = {"Sub", 2, 2, SameShape2, SubForward};
+  at(OpKind::kMul) = {"Mul", 2, 2, SameShape2, MulForward};
   at(OpKind::kAddBroadcastRow) = {"AddBroadcastRow", 2, 2, BroadcastRowShape,
-                                  AddBroadcastRowForward,
-                                  AddBroadcastRowBackward, false, false,
-                                  nullptr};
+                                  AddBroadcastRowForward};
   at(OpKind::kMulBroadcastRow) = {"MulBroadcastRow", 2, 2, BroadcastRowShape,
-                                  MulBroadcastRowForward,
-                                  MulBroadcastRowBackward, false, true,
-                                  nullptr};
-  at(OpKind::kScale) = {"Scale", 1, 1, SameShape1, ScaleForward, ScaleBackward,
-                        false, false, nullptr};
-  at(OpKind::kRelu) = {"Relu", 1, 1, SameShape1, ReluForward, ReluBackward,
-                       false, true, nullptr};
-  at(OpKind::kTanh) = {"Tanh", 1, 1, SameShape1, TanhForward, TanhBackward,
-                       true, false, nullptr};
-  at(OpKind::kSigmoid) = {"Sigmoid", 1, 1, SameShape1, SigmoidForward,
-                          SigmoidBackward, true, false, nullptr};
-  at(OpKind::kAbs) = {"Abs", 1, 1, SameShape1, AbsForward, AbsBackward, false,
-                      true, nullptr};
+                                  MulBroadcastRowForward};
+  at(OpKind::kScale) = {"Scale", 1, 1, SameShape1, ScaleForward};
+  at(OpKind::kRelu) = {"Relu", 1, 1, SameShape1, ReluForward};
+  at(OpKind::kTanh) = {"Tanh", 1, 1, SameShape1, TanhForward};
+  at(OpKind::kSigmoid) = {"Sigmoid", 1, 1, SameShape1, SigmoidForward};
+  at(OpKind::kAbs) = {"Abs", 1, 1, SameShape1, AbsForward};
   at(OpKind::kConcatCols) = {"ConcatCols", 2, 2, ConcatColsShape,
-                             ConcatColsForward, ConcatColsBackward, false,
-                             false, nullptr};
+                             ConcatColsForward};
   at(OpKind::kSliceCols) = {"SliceCols", 1, 1, SliceColsShape,
-                            SliceColsForward, SliceColsBackward, false, false,
-                            nullptr};
+                            SliceColsForward};
   at(OpKind::kSliceRows) = {"SliceRows", 1, 1, SliceRowsShape,
-                            SliceRowsForward, SliceRowsBackward, false, false,
-                            nullptr};
-  at(OpKind::kRowStack) = {"RowStack", 1, 255, RowStackShape, RowStackForward,
-                           RowStackBackward, false, false, nullptr};
-  at(OpKind::kMeanRows) = {"MeanRows", 1, 1, MeanRowsShape, MeanRowsForward,
-                           MeanRowsBackward, false, false, nullptr};
-  at(OpKind::kSumAll) = {"SumAll", 1, 1, ScalarShape, SumAllForward,
-                         SumAllBackward, false, false, nullptr};
+                            SliceRowsForward};
+  at(OpKind::kRowStack) = {"RowStack", 1, 255, RowStackShape, RowStackForward};
+  at(OpKind::kMeanRows) = {"MeanRows", 1, 1, MeanRowsShape, MeanRowsForward};
+  at(OpKind::kSumAll) = {"SumAll", 1, 1, ScalarShape, SumAllForward};
   at(OpKind::kL2NormalizeRow) = {"L2NormalizeRow", 1, 1, L2NormalizeRowShape,
-                                 L2NormalizeRowForward, L2NormalizeRowBackward,
-                                 true, false, OneFloatAux};
-  at(OpKind::kDot) = {"Dot", 2, 2, ScalarShape, DotForward, DotBackward,
-                      false, true, nullptr};
-  at(OpKind::kSoftmaxCrossEntropy) = {"SoftmaxCrossEntropy", 1, 2, ScalarShape,
-                                      SoftmaxCrossEntropyForward,
-                                      SoftmaxCrossEntropyBackward, false, true,
-                                      SoftmaxCrossEntropyAux};
-  at(OpKind::kSigmoidBinaryCrossEntropy) = {
-      "SigmoidBinaryCrossEntropy", 1,   2,    ScalarShape,
-      SigmoidBinaryCrossEntropyForward, SigmoidBinaryCrossEntropyBackward,
-      false,                            true, nullptr};
-  at(OpKind::kDropout) = {"Dropout", 1, 1, SameShape1, DropoutForward,
-                          DropoutBackward, false, false, DropoutAux};
+                                 L2NormalizeRowForward};
+  at(OpKind::kDot) = {"Dot", 2, 2, ScalarShape, DotForward};
   at(OpKind::kConv1dSame) = {"Conv1dSame", 2, 2, Conv1dSameShape,
-                             Conv1dSameForward, Conv1dSameBackward, false,
-                             true, nullptr};
-  at(OpKind::kMulScalar) = {"MulScalar", 2, 2, MulScalarShape,
-                            MulScalarForward, MulScalarBackward, false, true,
-                            nullptr};
+                             Conv1dSameForward};
   at(OpKind::kFusedLinear) = {"FusedLinear", 3, 3, FusedLinearShape,
-                              FusedLinearForward, FusedLinearBackward, false,
-                              true, nullptr};
+                              FusedLinearForward};
   at(OpKind::kFusedLinearRelu) = {"FusedLinearRelu", 3, 3, FusedLinearShape,
-                                  FusedLinearReluForward,
-                                  FusedLinearReluBackward, false, true,
-                                  FusedLinearAuxShape};
+                                  FusedLinearReluForward};
   at(OpKind::kFusedLinearTanh) = {"FusedLinearTanh", 3, 3, FusedLinearShape,
-                                  FusedLinearTanhForward,
-                                  FusedLinearTanhBackward, true, true,
-                                  nullptr};
+                                  FusedLinearTanhForward};
   at(OpKind::kQuantLinear) = {"QuantLinear", 3, 3, FusedLinearShape,
-                              QuantLinearForward, QuantLinearBackwardUnreachable,
-                              false, false, QuantLinearAuxShape};
+                              QuantLinearForward};
   at(OpKind::kQuantLinearRelu) = {"QuantLinearRelu", 3, 3, FusedLinearShape,
-                                  QuantLinearReluForward,
-                                  QuantLinearBackwardUnreachable, false, false,
-                                  QuantLinearAuxShape};
+                                  QuantLinearReluForward};
   at(OpKind::kQuantLinearTanh) = {"QuantLinearTanh", 3, 3, FusedLinearShape,
-                                  QuantLinearTanhForward,
-                                  QuantLinearBackwardUnreachable, false, false,
-                                  QuantLinearAuxShape};
-  at(OpKind::kFusedDualLinear) = {"FusedDualLinear", 5, 5,
-                                  FusedDualLinearShape, FusedDualLinearForward,
-                                  DualLinearBackwardUnreachable, false, false,
-                                  FusedDualLinearAuxShape};
-  at(OpKind::kQuantDualLinear) = {"QuantDualLinear", 5, 5,
-                                  FusedDualLinearShape, QuantDualLinearForward,
-                                  DualLinearBackwardUnreachable, false, false,
-                                  QuantDualLinearAuxShape};
+                                  QuantLinearTanhForward};
+  at(OpKind::kFusedDualLinear) = {"FusedDualLinear", 5, 5, FusedDualLinearShape,
+                                  FusedDualLinearForward};
+  at(OpKind::kQuantDualLinear) = {"QuantDualLinear", 5, 5, FusedDualLinearShape,
+                                  QuantDualLinearForward};
   return schemas;
 }
 

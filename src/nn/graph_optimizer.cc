@@ -119,11 +119,6 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
   for (const Instr& ins : g.instrs) {
     for (int32_t in : ins.in) consumers[in]++;
   }
-  // Position of each instr in the backward program, -1 if absent.
-  std::vector<int32_t> bwd_pos(g.instrs.size(), -1);
-  for (size_t p = 0; p < g.backward_order.size(); ++p) {
-    bwd_pos[g.backward_order[p]] = static_cast<int32_t>(p);
-  }
 
   // Pattern scan. Eager code records nested calls sequentially, so a Linear
   // layer's MatMul / AddBroadcastRow / activation land at adjacent forward
@@ -133,9 +128,8 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
   std::vector<char> in_chain(g.instrs.size(), 0);
   for (int32_t i = 0; i + 1 < n; ++i) {
     // Dual pattern first: MatMul / MatMul / Add / AddBroadcastRow — the
-    // LSTM-gate preactivation x@W + h@U + b. Gradient-free chains only (the
-    // fused kernel has no backward), and both weights must be static so a
-    // later QuantizeGraph can bake them.
+    // LSTM-gate preactivation x@W + h@U + b. Both weights must be static so
+    // a later QuantizeGraph can bake them.
     if (i + 3 < n) {
       const Instr& mm1 = g.instrs[i];
       const Instr& mm2 = g.instrs[i + 1];
@@ -150,9 +144,8 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
           lin.in[0] == add.out && consumers[mm1.out] == 1 &&
           consumers[mm2.out] == 1 && consumers[add.out] == 1 &&
           mm1.out != g.output_buffer && mm2.out != g.output_buffer &&
-          add.out != g.output_buffer && mm1.out_grad < 0 &&
-          mm2.out_grad < 0 && add.out_grad < 0 && lin.out_grad < 0 &&
-          IsStaticBuffer(g, mm1.in[1]) && IsStaticBuffer(g, mm2.in[1])) {
+          add.out != g.output_buffer && IsStaticBuffer(g, mm1.in[1]) &&
+          IsStaticBuffer(g, mm2.in[1])) {
         Chain chain;
         chain.mm = i;
         chain.mm2 = i + 1;
@@ -176,13 +169,6 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
     if (lin.in[0] != mm.out) continue;
     if (consumers[mm.out] != 1) continue;
     if (mm.out == g.output_buffer) continue;
-    // Gradients must be all-or-nothing across the folded boundary, and the
-    // intermediate grad must flow only along the chain (guaranteed by the
-    // single-consumer check plus the recorder's one-grad-per-value mapping).
-    const bool mm_grad = mm.out_grad >= 0;
-    const bool lin_grad = lin.out_grad >= 0;
-    if (mm_grad != lin_grad) continue;
-    if (mm_grad && lin.in_grad[0] != mm.out_grad) continue;
 
     Chain chain;
     chain.mm = i;
@@ -196,27 +182,10 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
       const bool act_is_relu = act.kind == OpKind::kRelu;
       const bool act_is_tanh = act.kind == OpKind::kTanh;
       if ((act_is_relu || act_is_tanh) && act.in[0] == lin.out &&
-          consumers[lin.out] == 1 && lin.out != g.output_buffer &&
-          (act.out_grad >= 0) == lin_grad &&
-          (!lin_grad || act.in_grad[0] == lin.out_grad)) {
+          consumers[lin.out] == 1 && lin.out != g.output_buffer) {
         chain.act = i + 2;
         chain.fused_kind = act_is_relu ? OpKind::kFusedLinearRelu
                                        : OpKind::kFusedLinearTanh;
-      }
-    }
-    // Training chains additionally require contiguous backward steps, in
-    // the mirrored order (last op's backward first), so collapsing them
-    // into one backward step preserves the surrounding accumulation order.
-    if (mm_grad) {
-      const int32_t last = chain.act >= 0 ? chain.act : chain.lin;
-      int32_t p = bwd_pos[last];
-      if (p < 0) continue;
-      if (chain.act >= 0) {
-        if (bwd_pos[chain.lin] != p + 1 || bwd_pos[chain.mm] != p + 2) {
-          continue;
-        }
-      } else if (bwd_pos[chain.mm] != p + 1) {
-        continue;
       }
     }
     in_chain[chain.mm] = 1;
@@ -231,14 +200,13 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
     return out;
   }
 
-  // Rebuild the forward program: chain members collapse into one fused
-  // instr; everything else is kept verbatim. Buffer ids are stable — the
-  // collapsed intermediates simply become unreferenced, and the re-plan
-  // below drops them from the arena (birth stays -1).
+  // Rebuild the program: chain members collapse into one fused instr;
+  // everything else is kept verbatim. Buffer ids are stable — the collapsed
+  // intermediates simply become unreferenced, and the re-plan below drops
+  // them from the arena (birth stays -1).
   FusionStats local;
   std::vector<Instr> new_instrs;
   new_instrs.reserve(g.instrs.size());
-  std::vector<int32_t> new_index(g.instrs.size(), -1);
   size_t next_chain = 0;
   for (int32_t i = 0; i < n; ++i) {
     if (in_chain[i]) {
@@ -254,9 +222,7 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
         Instr fused;
         fused.kind = OpKind::kFusedDualLinear;
         fused.in = {mm1.in[0], mm2.in[0], mm1.in[1], mm2.in[1], lin.in[1]};
-        fused.in_grad = {-1, -1, -1, -1, -1};
         fused.out = lin.out;
-        fused.out_grad = -1;
         // Forward-time temp for the h@U product (the x@W product lands in
         // the output buffer).
         BufferDesc aux;
@@ -265,11 +231,6 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
         aux.cols = g.buffers[fused.out].cols;
         fused.aux = static_cast<int32_t>(g.buffers.size());
         g.buffers.push_back(aux);
-        const int32_t fused_index = static_cast<int32_t>(new_instrs.size());
-        new_index[chain.mm] = fused_index;
-        new_index[chain.mm2] = fused_index;
-        new_index[chain.add] = fused_index;
-        new_index[chain.lin] = fused_index;
         local.fused_dual_linear++;
         new_instrs.push_back(std::move(fused));
         i = chain.lin;
@@ -281,41 +242,7 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
       Instr fused;
       fused.kind = chain.fused_kind;
       fused.in = {mm.in[0], mm.in[1], lin.in[1]};
-      fused.in_grad = {mm.in_grad[0], mm.in_grad[1], lin.in_grad[1]};
       fused.out = last.out;
-      fused.out_grad = last.out_grad;
-      if (fused.out_grad >= 0) {
-        // Backward needs the pre-activation values for ReLU (its own output
-        // is post-activation) ...
-        if (chain.fused_kind == OpKind::kFusedLinearRelu) {
-          BufferDesc aux;
-          aux.kind = BufferDesc::Kind::kAux;
-          aux.rows = g.buffers[fused.out].rows;
-          aux.cols = g.buffers[fused.out].cols;
-          fused.aux = static_cast<int32_t>(g.buffers.size());
-          g.buffers.push_back(aux);
-        }
-        // ... and scratch for the intermediate gradient plus the GEMM temp
-        // (same temp-then-accumulate discipline as the MatMul backward).
-        size_t temp = 0;
-        if (fused.in_grad[0] >= 0) {
-          temp = std::max(temp, g.buffers[fused.in[0]].size());
-        }
-        if (fused.in_grad[1] >= 0) {
-          temp = std::max(temp, g.buffers[fused.in[1]].size());
-        }
-        BufferDesc scratch;
-        scratch.kind = BufferDesc::Kind::kScratch;
-        scratch.rows = 1;
-        scratch.cols =
-            static_cast<uint32_t>(g.buffers[fused.out].size() + temp);
-        fused.scratch = static_cast<int32_t>(g.buffers.size());
-        g.buffers.push_back(scratch);
-      }
-      const int32_t fused_index = static_cast<int32_t>(new_instrs.size());
-      new_index[chain.mm] = fused_index;
-      new_index[chain.lin] = fused_index;
-      if (chain.act >= 0) new_index[chain.act] = fused_index;
       switch (chain.fused_kind) {
         case OpKind::kFusedLinear:
           local.fused_linear++;
@@ -330,27 +257,12 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
       new_instrs.push_back(std::move(fused));
       i = chain.act >= 0 ? chain.act : chain.lin;
     } else {
-      new_index[i] = static_cast<int32_t>(new_instrs.size());
       new_instrs.push_back(g.instrs[i]);
     }
   }
   g.instrs = std::move(new_instrs);
 
-  // Backward program: remap and collapse the (contiguous, verified above)
-  // chain steps into one.
-  std::vector<int32_t> new_backward;
-  new_backward.reserve(g.backward_order.size());
-  for (int32_t old : g.backward_order) {
-    const int32_t remapped = new_index[old];
-    CHECK_GE(remapped, 0);
-    if (!new_backward.empty() && new_backward.back() == remapped) continue;
-    new_backward.push_back(remapped);
-  }
-  g.backward_order = std::move(new_backward);
-
-  // First-write zeroing moved with the collapsed grads; recompute, then
-  // re-plan the arena (the dead intermediates shrink it).
-  ComputeZeroBefore(&g, g.output_grad_buffer);
+  // Re-plan the arena (the dead intermediates shrink it).
   PlanMemory(&g);
 
   CountFusedOps(local.total());
@@ -361,7 +273,6 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
 Calibrator::Calibrator(std::shared_ptr<const Graph> graph, int samples_needed)
     : graph_(std::move(graph)), needed_(samples_needed) {
   CHECK(graph_ != nullptr);
-  CHECK(!graph_->training) << "only inference plans can be quantized";
   CHECK_GT(needed_, 0);
   size_t slots = 0;
   for (size_t i = 0; i < graph_->instrs.size(); ++i) {
@@ -379,7 +290,7 @@ void Calibrator::Observe(PlanRun& run) {
   if (run.arena.size() < g.arena_floats) run.arena.resize(g.arena_floats);
   const std::vector<const float*>& inputs = run.inputs.Pointers();
   CHECK_EQ(inputs.size(), g.num_inputs);
-  ExecState st{&g, run.arena.data(), &inputs, nullptr};
+  ExecState st{&g, run.arena.data(), &inputs};
   // Interleaved with execution: arena slots are reused across instrs, so a
   // site's activations are only observable right before its kernel runs.
   size_t site = 0;
@@ -415,7 +326,6 @@ std::shared_ptr<const Graph> Calibrator::Quantize() const {
 
 std::shared_ptr<const Graph> QuantizeGraph(
     const Graph& graph, const std::vector<float>& max_abs_per_site) {
-  CHECK(!graph.training) << "quantized plans are inference-only";
   auto out = std::make_shared<Graph>(graph);
   Graph& g = *out;
   size_t slot = 0;

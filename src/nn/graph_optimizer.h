@@ -14,24 +14,19 @@ namespace hisrect::nn {
 /// FuseGraph pattern-matches adjacent MatMul → AddBroadcastRow
 /// [→ Relu|Tanh] chains — the shape every nn::Linear/Mlp layer records —
 /// and collapses each into a single kFusedLinear* instr. Fusion is legal
-/// only when the intermediates are single-consumer, are not the graph
-/// output, and (for training graphs) the chain's backward steps are
-/// contiguous with all-or-nothing gradients; near-miss chains are left
-/// untouched. Fused plans are re-memory-planned (the collapsed
-/// intermediates free their arena intervals) and stay bitwise-identical to
-/// the eager tape, forward and backward.
+/// only when the intermediates are single-consumer and are not the graph
+/// output; near-miss chains are left untouched. It also fuses the LSTM-gate
+/// preactivation shape AddBroadcastRow(Add(MatMul(x, W), MatMul(h, U)), b)
+/// — four instrs — into one kFusedDualLinear (gates dominate the unrolled
+/// recurrent featurizer at serving time). Fused plans are re-memory-planned
+/// (the collapsed intermediates free their arena intervals) and stay
+/// bitwise-identical to the eager tape.
 ///
-/// Inference plans additionally fuse the LSTM-gate preactivation shape
-/// AddBroadcastRow(Add(MatMul(x, W), MatMul(h, U)), b) — four instrs — into
-/// one kFusedDualLinear. That pattern is gradient-free only (gates dominate
-/// the unrolled recurrent featurizer at serving time; training plans keep
-/// the unfused chain so the backward accumulation order is untouched).
-///
-/// QuantizeGraph then rewrites the fused linears of an inference plan to
-/// int8 (kQuantLinear*): per-output-column symmetric weight quantization
-/// baked into the graph, static activation scales from a Calibrator that
-/// watched real fp32 executions, fp32 accumulation epilogue. Quantized
-/// plans are NOT bitwise and have no backward — serving only.
+/// QuantizeGraph then rewrites the fused linears of a plan to int8
+/// (kQuantLinear*): per-output-column symmetric weight quantization baked
+/// into the graph, static activation scales from a Calibrator that watched
+/// real fp32 executions, fp32 accumulation epilogue. Quantized plans are NOT
+/// bitwise.
 
 struct FusionStats {
   int fused_linear = 0;
@@ -54,7 +49,7 @@ std::shared_ptr<const Graph> FuseGraph(const Graph& graph,
 /// with the plan cache's lock.
 class Calibrator {
  public:
-  /// `graph` must be an inference plan (training == false), already fused.
+  /// `graph` should already be fused (only fused linears are quantized).
   /// `samples_needed` executions are observed before Ready() turns true.
   Calibrator(std::shared_ptr<const Graph> graph, int samples_needed);
 

@@ -1,7 +1,5 @@
 #include "nn/graph_recorder.h"
 
-#include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "nn/memory_planner.h"
@@ -18,10 +16,9 @@ thread_local GraphRecorder* g_active = nullptr;
 
 GraphRecorder* GraphRecorder::Active() { return g_active; }
 
-GraphRecorder::GraphRecorder(bool training) : training_(training) {
+GraphRecorder::GraphRecorder() {
   CHECK(g_active == nullptr) << "GraphRecorder is not re-entrant";
   graph_ = std::make_unique<Graph>();
-  graph_->training = training;
   g_active = this;
 }
 
@@ -81,30 +78,6 @@ int32_t GraphRecorder::ValueBufferFor(
   return id;
 }
 
-int32_t GraphRecorder::GradBufferFor(int32_t value_buffer) {
-  auto it = grad_buffer_.find(value_buffer);
-  if (it != grad_buffer_.end()) return it->second;
-  const BufferDesc& value_desc = graph_->buffers[value_buffer];
-  BufferDesc desc;
-  desc.rows = value_desc.rows;
-  desc.cols = value_desc.cols;
-  switch (value_desc.kind) {
-    case BufferDesc::Kind::kParamValue:
-      desc.kind = BufferDesc::Kind::kParamGrad;
-      desc.ref = value_desc.ref;
-      break;
-    case BufferDesc::Kind::kArena:
-      desc.kind = BufferDesc::Kind::kArenaGrad;
-      break;
-    default:
-      CHECK(false) << "gradient requested for a non-differentiable buffer";
-  }
-  int32_t id = static_cast<int32_t>(graph_->buffers.size());
-  graph_->buffers.push_back(desc);
-  grad_buffer_.emplace(value_buffer, id);
-  return id;
-}
-
 void GraphRecorder::OnOp(OpKind kind, const Tensor& out,
                          const std::vector<const Tensor*>& parents,
                          float fattr, int64_t iattr0, int64_t iattr1) {
@@ -119,13 +92,8 @@ void GraphRecorder::OnOp(OpKind kind, const Tensor& out,
   ins.iattr0 = iattr0;
   ins.iattr1 = iattr1;
   ins.in.reserve(parents.size());
-  ins.in_grad.reserve(parents.size());
   for (const Tensor* parent : parents) {
     ins.in.push_back(ValueBufferFor(parent->node()));
-  }
-  for (size_t k = 0; k < parents.size(); ++k) {
-    bool wants = training_ && parents[k]->requires_grad();
-    ins.in_grad.push_back(wants ? GradBufferFor(ins.in[k]) : -1);
   }
 
   // Output buffer (always arena-planned).
@@ -138,42 +106,6 @@ void GraphRecorder::OnOp(OpKind kind, const Tensor& out,
   value_buffer_.emplace(out.node().get(), ins.out);
   keepalive_.push_back(out.node());
 
-  int32_t instr_id = static_cast<int32_t>(graph_->instrs.size());
-  producer_.emplace(ins.out, instr_id);
-
-  if (training_ && out.requires_grad()) {
-    ins.out_grad = GradBufferFor(ins.out);
-  }
-
-  if (schema.aux_shape != nullptr) {
-    auto [ar, ac] = schema.aux_shape(ins, graph_->buffers);
-    BufferDesc aux_desc;
-    aux_desc.kind = BufferDesc::Kind::kAux;
-    aux_desc.rows = ar;
-    aux_desc.cols = ac;
-    ins.aux = static_cast<int32_t>(graph_->buffers.size());
-    graph_->buffers.push_back(aux_desc);
-  }
-
-  if (kind == OpKind::kMatMul &&
-      (ins.in_grad[0] >= 0 || ins.in_grad[1] >= 0)) {
-    // MatMul backward mirrors the eager temp-then-AddInPlace; the temp lives
-    // in a scratch slot sized for the larger of the two input gradients.
-    size_t floats = 0;
-    if (ins.in_grad[0] >= 0) {
-      floats = std::max(floats, graph_->buffers[ins.in[0]].size());
-    }
-    if (ins.in_grad[1] >= 0) {
-      floats = std::max(floats, graph_->buffers[ins.in[1]].size());
-    }
-    BufferDesc scratch_desc;
-    scratch_desc.kind = BufferDesc::Kind::kScratch;
-    scratch_desc.rows = 1;
-    scratch_desc.cols = static_cast<uint32_t>(floats);
-    ins.scratch = static_cast<int32_t>(graph_->buffers.size());
-    graph_->buffers.push_back(scratch_desc);
-  }
-
   // Registry shape validation: recorded output shape must match the schema.
   if (schema.infer_shape != nullptr) {
     auto [er, ec] = schema.infer_shape(ins, graph_->buffers);
@@ -185,50 +117,6 @@ void GraphRecorder::OnOp(OpKind kind, const Tensor& out,
   graph_->instrs.push_back(std::move(ins));
 }
 
-void GraphRecorder::BuildBackward(const Tensor& output) {
-  // Mirror of Tensor::Backward's iterative post-order DFS, over recorded
-  // instrs instead of live nodes. Parameter leaves contribute nothing to the
-  // eager order (they have no backward), so skipping non-producer operands
-  // preserves the exact execution order of the op backwards.
-  int32_t root_buffer = value_buffer_.at(output.node().get());
-  auto root_it = producer_.find(root_buffer);
-  CHECK(root_it != producer_.end())
-      << "plan output must be produced by a recorded op";
-  int32_t root_instr = root_it->second;
-
-  std::vector<int32_t> order;
-  std::unordered_set<int32_t> visited;
-  struct Frame {
-    int32_t instr;
-    size_t next_parent;
-  };
-  std::vector<Frame> stack;
-  if (graph_->instrs[root_instr].out_grad != -1) {
-    stack.push_back({root_instr, 0});
-    visited.insert(root_instr);
-  }
-  while (!stack.empty()) {
-    Frame& top = stack.back();
-    const Instr& ins = graph_->instrs[top.instr];
-    if (top.next_parent < ins.in.size()) {
-      int32_t parent_buffer = ins.in[top.next_parent++];
-      auto it = producer_.find(parent_buffer);
-      if (it != producer_.end()) {
-        int32_t parent = it->second;
-        if (graph_->instrs[parent].out_grad != -1 &&
-            visited.insert(parent).second) {
-          stack.push_back({parent, 0});
-        }
-      }
-    } else {
-      order.push_back(top.instr);
-      stack.pop_back();
-    }
-  }
-  graph_->backward_order.assign(order.rbegin(), order.rend());
-  ComputeZeroBefore(graph_.get(), graph_->instrs[root_instr].out_grad);
-}
-
 std::shared_ptr<const Graph> GraphRecorder::Finish(const Tensor& output) {
   CHECK(!finished_);
   CHECK(output.defined());
@@ -236,14 +124,11 @@ std::shared_ptr<const Graph> GraphRecorder::Finish(const Tensor& output) {
   // thousands of times, so per-execution spans would flood the trace ring.
   HISRECT_TRACE_SPAN("nn.plan.record");
   auto it = value_buffer_.find(output.node().get());
-  CHECK(it != value_buffer_.end() && producer_.count(it->second))
+  // Op outputs are the only kArena buffers.
+  CHECK(it != value_buffer_.end() &&
+        graph_->buffers[it->second].kind == BufferDesc::Kind::kArena)
       << "plan output must be produced by a recorded op";
   graph_->output_buffer = it->second;
-  if (training_ && output.requires_grad()) {
-    BuildBackward(output);
-    graph_->output_grad_buffer = graph_->instrs[producer_.at(it->second)].out_grad;
-    CHECK_GE(graph_->output_grad_buffer, 0);
-  }
   PlanMemory(graph_.get());
   finished_ = true;
   if (g_active == this) g_active = nullptr;

@@ -12,11 +12,12 @@
 
 namespace hisrect::nn {
 
-/// Captures one eager tape execution into a static Graph. Usage:
+/// Captures one eval-mode eager tape execution into a static inference
+/// Graph. Usage:
 ///
-///   GraphRecorder rec(/*training=*/true);
-///   Tensor loss = ... ordinary eager forward ...;   // ops self-record
-///   std::shared_ptr<const Graph> plan = rec.Finish(loss);
+///   GraphRecorder rec;
+///   Tensor logit = ... ordinary eval-mode eager forward ...;  // ops record
+///   std::shared_ptr<const Graph> plan = rec.Finish(logit);
 ///
 /// While a recorder is active on the current thread, every op in ops.cc
 /// appends an Instr via the RecordOp hooks below, and RecordPlanInput marks
@@ -26,16 +27,17 @@ namespace hisrect::nn {
 /// replay, so optimizer steps and checkpoint restores are picked up);
 /// everything else is baked into the constant pool.
 ///
-/// Finish() derives the backward program by mirroring Tensor::Backward's
-/// post-order DFS over the recorded instrs, then runs MemoryPlanner to
-/// assign arena offsets. Recording is forward-only: no eager Backward call
-/// is needed and no gradients are touched.
+/// Training-only tape ops (training-mode Dropout, SoftmaxCrossEntropy,
+/// SigmoidBinaryCrossEntropy) have no op kind and CHECK-fail while a
+/// recorder is active, rather than being silently baked in as constants.
+///
+/// Finish() runs MemoryPlanner to assign arena offsets.
 ///
 /// The recorder is strictly thread-local and not re-entrant; nesting two
 /// recorders on one thread is a CHECK failure.
 class GraphRecorder {
  public:
-  explicit GraphRecorder(bool training);
+  GraphRecorder();
   ~GraphRecorder();
   GraphRecorder(const GraphRecorder&) = delete;
   GraphRecorder& operator=(const GraphRecorder&) = delete;
@@ -43,8 +45,8 @@ class GraphRecorder {
   /// The active recorder on this thread, or nullptr.
   static GraphRecorder* Active();
 
-  /// Seals the recording rooted at `output`, derives the backward program
-  /// (training graphs), plans arena memory, and deactivates the recorder.
+  /// Seals the recording rooted at `output`, plans arena memory, and
+  /// deactivates the recorder.
   std::shared_ptr<const Graph> Finish(const Tensor& output);
 
   // Hook bodies (called via the free functions below).
@@ -55,17 +57,12 @@ class GraphRecorder {
 
  private:
   int32_t ValueBufferFor(const std::shared_ptr<Tensor::Node>& node);
-  int32_t GradBufferFor(int32_t value_buffer);
-  void BuildBackward(const Tensor& output);
 
-  bool training_;
   bool finished_ = false;
   std::unique_ptr<Graph> graph_;
   // Node address -> buffer id. keepalive_ pins every node seen so addresses
   // cannot be recycled mid-recording.
   std::unordered_map<const Tensor::Node*, int32_t> value_buffer_;
-  std::unordered_map<int32_t, int32_t> grad_buffer_;    // value buf -> grad buf
-  std::unordered_map<int32_t, int32_t> producer_;       // value buf -> instr
   std::vector<std::shared_ptr<Tensor::Node>> keepalive_;
 };
 

@@ -15,15 +15,7 @@ namespace {
 constexpr size_t kAlignFloats = 16;  // 64-byte lines
 
 inline bool ArenaPlanned(BufferDesc::Kind kind) {
-  switch (kind) {
-    case BufferDesc::Kind::kArena:
-    case BufferDesc::Kind::kArenaGrad:
-    case BufferDesc::Kind::kAux:
-    case BufferDesc::Kind::kScratch:
-      return true;
-    default:
-      return false;
-  }
+  return kind == BufferDesc::Kind::kArena || kind == BufferDesc::Kind::kAux;
 }
 
 inline size_t AlignedSize(size_t floats) {
@@ -107,21 +99,12 @@ void PublishArenaHighWater(size_t bytes) {
 
 void PlanMemory(Graph* graph) {
   const size_t num_buffers = graph->buffers.size();
-  const int32_t forward_len = static_cast<int32_t>(graph->instrs.size());
-  const int32_t total_len =
-      forward_len + static_cast<int32_t>(graph->backward_order.size());
+  const int32_t num_instrs = static_cast<int32_t>(graph->instrs.size());
 
   std::vector<int32_t> birth(num_buffers, -1);
   std::vector<int32_t> death(num_buffers, -1);
-  auto extend = [&](int32_t buffer, int32_t pos) {
-    if (buffer < 0) return;
-    if (!ArenaPlanned(graph->buffers[buffer].kind)) return;
-    death[buffer] = std::max(death[buffer], pos);
-  };
-
-  // Forward pass: outputs and aux are born at their instr; operands are read
-  // there.
-  for (int32_t i = 0; i < forward_len; ++i) {
+  // Outputs and aux are born at their instr; operands are read there.
+  for (int32_t i = 0; i < num_instrs; ++i) {
     const Instr& ins = graph->instrs[i];
     birth[ins.out] = i;
     death[ins.out] = i;
@@ -129,51 +112,30 @@ void PlanMemory(Graph* graph) {
       birth[ins.aux] = i;
       death[ins.aux] = i;
     }
-    for (int32_t in : ins.in) extend(in, i);
+    for (int32_t in : ins.in) {
+      if (ArenaPlanned(graph->buffers[in].kind)) {
+        death[in] = std::max(death[in], i);
+      }
+    }
   }
 
-  // Backward pass: per-schema value reads, gradient intervals, aux reads,
-  // scratch.
-  for (size_t p = 0; p < graph->backward_order.size(); ++p) {
-    const int32_t pos = forward_len + static_cast<int32_t>(p);
-    const Instr& ins = graph->instrs[graph->backward_order[p]];
-    const OpSchema& schema = GetOpSchema(ins.kind);
-    if (schema.needs_parent_values_bwd) {
-      for (int32_t in : ins.in) extend(in, pos);
-    }
-    if (schema.needs_self_value_bwd) extend(ins.out, pos);
-    if (ins.aux >= 0) extend(ins.aux, pos);
-    if (ins.scratch >= 0) {
-      birth[ins.scratch] = pos;
-      death[ins.scratch] = pos;
-    }
-    extend(ins.out_grad, pos);
-    for (int32_t gb : ins.in_grad) extend(gb, pos);
-    for (int32_t gb : graph->zero_before[p]) {
-      if (birth[gb] < 0) birth[gb] = pos;
-    }
-  }
-  // The root gradient is born at seed time, before backward step 0.
-  if (graph->output_grad_buffer >= 0) {
-    birth[graph->output_grad_buffer] = forward_len;
-  }
   // The declared output is read after execution: pin it past the end so its
   // storage is never reused.
   if (graph->output_buffer >= 0 &&
       ArenaPlanned(graph->buffers[graph->output_buffer].kind)) {
-    death[graph->output_buffer] = total_len;
+    death[graph->output_buffer] = num_instrs;
   }
 
   // Bucket births and deaths by position. Buffer ids ascend within each
   // bucket (we iterate ids in order), making the layout deterministic.
-  std::vector<std::vector<int32_t>> births_at(total_len + 1);
-  std::vector<std::vector<int32_t>> deaths_at(total_len + 1);
+  std::vector<std::vector<int32_t>> births_at(num_instrs + 1);
+  std::vector<std::vector<int32_t>> deaths_at(num_instrs + 1);
   for (size_t b = 0; b < num_buffers; ++b) {
     if (!ArenaPlanned(graph->buffers[b].kind)) continue;
-    if (birth[b] < 0) continue;  // recorded but never used (dead grad)
+    if (birth[b] < 0) continue;  // unreferenced (fused-away intermediate)
     CHECK_GE(death[b], birth[b]);
     births_at[birth[b]].push_back(static_cast<int32_t>(b));
-    if (death[b] < total_len) {
+    if (death[b] < num_instrs) {
       deaths_at[death[b]].push_back(static_cast<int32_t>(b));
     }
   }
@@ -181,7 +143,7 @@ void PlanMemory(Graph* graph) {
   // Single sweep: at each position allocate births BEFORE freeing deaths, so
   // an op's output never aliases an operand whose last use is that op.
   Arena arena;
-  for (int32_t pos = 0; pos <= total_len; ++pos) {
+  for (int32_t pos = 0; pos <= num_instrs; ++pos) {
     for (int32_t b : births_at[pos]) {
       graph->buffers[b].offset = arena.Allocate(graph->buffers[b].size());
     }
@@ -196,28 +158,6 @@ void PlanMemory(Graph* graph) {
     graph->live[b] = {birth[b], death[b]};
   }
   PublishArenaHighWater(graph->arena_floats * sizeof(float));
-}
-
-void ComputeZeroBefore(Graph* graph, int32_t root_grad) {
-  // Grad buffers are arena-reused, so they are zeroed at first write — the
-  // backward step where a consumer first accumulates into them (or the own
-  // step, for a grad no consumer ever touched, mirroring EnsureGrad's
-  // zeros). The root grad is born at seed time instead.
-  graph->zero_before.assign(graph->backward_order.size(), {});
-  std::vector<char> born(graph->buffers.size(), 0);
-  if (root_grad >= 0) born[root_grad] = 1;
-  for (size_t p = 0; p < graph->backward_order.size(); ++p) {
-    const Instr& ins = graph->instrs[graph->backward_order[p]];
-    auto mark = [&](int32_t gb) {
-      if (gb < 0) return;
-      if (graph->buffers[gb].kind != BufferDesc::Kind::kArenaGrad) return;
-      if (born[gb]) return;
-      born[gb] = 1;
-      graph->zero_before[p].push_back(gb);
-    };
-    mark(ins.out_grad);
-    for (int32_t gb : ins.in_grad) mark(gb);
-  }
 }
 
 }  // namespace hisrect::nn

@@ -8,17 +8,11 @@ namespace hisrect::nn {
 /// Last-use liveness analysis + deterministic arena assignment for a
 /// recorded Graph (called by GraphRecorder::Finish).
 ///
-/// Timeline: forward instr i executes at position i; backward step p (an
-/// index into graph->backward_order) executes at position F + p, where F is
-/// the instr count. Each arena-planned buffer gets one [birth, death]
-/// interval:
-///   - op outputs: producer position .. last read (forward readers, plus the
-///     backward steps whose kernels read parent/self values per the op
-///     schema); the graph output is pinned to the end of the timeline,
-///   - gradients: first write (per Graph::zero_before, or the seed for the
-///     root grad) .. the owning op's backward step,
-///   - aux: producer position .. the owning op's backward step,
-///   - scratch: the owning op's backward step only.
+/// Timeline: instr i executes at position i. Each arena-planned buffer gets
+/// one [birth, death] interval:
+///   - op outputs: producer position .. last read; the graph output is
+///     pinned past the end of the timeline,
+///   - aux: the owning instr's position only.
 ///
 /// Offsets come from a single sweep over positions with a deterministic
 /// first-fit free list (sorted by offset, coalescing); at each position
@@ -31,13 +25,6 @@ namespace hisrect::nn {
 /// Fills BufferDesc::offset, Graph::arena_floats, and Graph::live, and
 /// drives the `hisrect.nn.arena_bytes` high-water gauge.
 void PlanMemory(Graph* graph);
-
-/// Recomputes Graph::zero_before from Graph::backward_order: each arena grad
-/// buffer is zeroed at the backward step that first writes it (the root grad
-/// is born at seed time instead and never zeroed). Shared by GraphRecorder
-/// and GraphOptimizer — a rewrite that changes the backward program must
-/// rebuild first-write positions before re-planning memory.
-void ComputeZeroBefore(Graph* graph, int32_t root_grad);
 
 }  // namespace hisrect::nn
 

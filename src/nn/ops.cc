@@ -9,10 +9,11 @@
 
 namespace hisrect::nn {
 
-// Every op calls RecordOp/RecordOpMany after building its node: a no-op
-// (one thread-local load) unless a GraphRecorder is active on this thread,
-// in which case the op appends itself to the plan being recorded. The plan
-// kernels in graph_ir.cc mirror the arithmetic here expression-for-
+// Every inference op calls RecordOp/RecordOpMany after building its node: a
+// no-op (one thread-local load) unless a GraphRecorder is active on this
+// thread, in which case the op appends itself to the plan being recorded.
+// Training-only ops (losses, training-mode dropout) CHECK-fail instead. The
+// plan kernels in graph_ir.cc mirror the arithmetic here expression-for-
 // expression — any change to an op body must be mirrored there, and the
 // bitwise tape-vs-plan tests will catch a drift.
 
@@ -24,6 +25,13 @@ void AccumulateInto(Node& parent, const Matrix& delta) {
   if (!parent.requires_grad) return;
   parent.EnsureGrad();
   parent.grad.AddInPlace(delta);
+}
+
+// Training-only ops: no plan op kind exists for them, so recording one
+// would silently bake its value into the plan as a constant.
+void CheckNotRecording(const char* op) {
+  CHECK(GraphRecorder::Active() == nullptr)
+      << op << " is training-only and cannot be recorded into a plan";
 }
 
 }  // namespace
@@ -478,17 +486,15 @@ Tensor SquaredL2Diff(const Tensor& a, const Tensor& b) {
   return SumAll(Mul(diff, diff));
 }
 
-namespace {
-
-Tensor MakeSoftmaxCrossEntropy(const Tensor& logits, size_t target,
-                               std::vector<Tensor> parents) {
+Tensor SoftmaxCrossEntropy(const Tensor& logits, size_t target) {
+  CheckNotRecording("SoftmaxCrossEntropy");
   CHECK_EQ(logits.rows(), 1u);
   CHECK_LT(target, logits.cols());
   Matrix probs = SoftmaxValues(logits.value());
   float p_target = std::max(probs.At(0, target), 1e-12f);
   Matrix out(1, 1);
   out.At(0, 0) = -std::log(p_target);
-  return Tensor::MakeOp(std::move(out), std::move(parents),
+  return Tensor::MakeOp(std::move(out), {logits},
                         [probs = std::move(probs), target](Node& self) {
                           Node& px = *self.parents[0];
                           if (!px.requires_grad) return;
@@ -502,80 +508,23 @@ Tensor MakeSoftmaxCrossEntropy(const Tensor& logits, size_t target,
                         });
 }
 
-}  // namespace
-
-Tensor SoftmaxCrossEntropy(const Tensor& logits, size_t target) {
-  Tensor t = MakeSoftmaxCrossEntropy(logits, target, {logits});
-  RecordOp(OpKind::kSoftmaxCrossEntropy, t, {&logits}, 0.0f,
-           static_cast<int64_t>(target), 0);
-  return t;
-}
-
-Tensor SoftmaxCrossEntropy(const Tensor& logits, const Tensor& target) {
-  CHECK_EQ(target.rows(), 1u);
-  CHECK_EQ(target.cols(), 1u);
-  CHECK(!target.requires_grad()) << "class target is not differentiable";
-  size_t target_id = static_cast<size_t>(target.value().At(0, 0));
-  Tensor t = MakeSoftmaxCrossEntropy(logits, target_id, {logits, target});
-  RecordOp(OpKind::kSoftmaxCrossEntropy, t, {&logits, &target});
-  return t;
-}
-
-namespace {
-
-Tensor MakeSigmoidBinaryCrossEntropy(const Tensor& logit, float label,
-                                     std::vector<Tensor> parents) {
+Tensor SigmoidBinaryCrossEntropy(const Tensor& logit, float label) {
+  CheckNotRecording("SigmoidBinaryCrossEntropy");
   CHECK_EQ(logit.rows(), 1u);
   CHECK_EQ(logit.cols(), 1u);
   float z = logit.value().At(0, 0);
   // Stable: max(z,0) - z*y + log(1 + exp(-|z|)).
-  float loss = std::max(z, 0.0f) - z * label + std::log1p(std::exp(-std::fabs(z)));
+  float loss =
+      std::max(z, 0.0f) - z * label + std::log1p(std::exp(-std::fabs(z)));
   Matrix out(1, 1);
   out.At(0, 0) = loss;
   float p = SigmoidValue(z);
-  return Tensor::MakeOp(std::move(out), std::move(parents),
-                        [p, label](Node& self) {
-                          Node& px = *self.parents[0];
-                          if (!px.requires_grad) return;
-                          px.EnsureGrad();
-                          px.grad.At(0, 0) += self.grad.At(0, 0) * (p - label);
-                        });
-}
-
-}  // namespace
-
-Tensor SigmoidBinaryCrossEntropy(const Tensor& logit, float label) {
-  Tensor t = MakeSigmoidBinaryCrossEntropy(logit, label, {logit});
-  RecordOp(OpKind::kSigmoidBinaryCrossEntropy, t, {&logit}, label);
-  return t;
-}
-
-Tensor SigmoidBinaryCrossEntropy(const Tensor& logit, const Tensor& label) {
-  CHECK_EQ(label.rows(), 1u);
-  CHECK_EQ(label.cols(), 1u);
-  CHECK(!label.requires_grad()) << "label is not differentiable";
-  float label_value = label.value().At(0, 0);
-  Tensor t = MakeSigmoidBinaryCrossEntropy(logit, label_value, {logit, label});
-  RecordOp(OpKind::kSigmoidBinaryCrossEntropy, t, {&logit, &label});
-  return t;
-}
-
-Tensor MulScalar(const Tensor& x, const Tensor& s) {
-  CHECK_EQ(s.rows(), 1u);
-  CHECK_EQ(s.cols(), 1u);
-  CHECK(!s.requires_grad()) << "MulScalar scale is not differentiable";
-  float sv = s.value().At(0, 0);
-  Matrix out = x.value();
-  for (size_t i = 0; i < out.size(); ++i) out.data()[i] *= sv;
-  Tensor t = Tensor::MakeOp(std::move(out), {x, s}, [sv](Node& self) {
+  return Tensor::MakeOp(std::move(out), {logit}, [p, label](Node& self) {
     Node& px = *self.parents[0];
-    if (px.requires_grad) {
-      px.EnsureGrad();
-      px.grad.AddScaled(self.grad, sv);
-    }
+    if (!px.requires_grad) return;
+    px.EnsureGrad();
+    px.grad.At(0, 0) += self.grad.At(0, 0) * (p - label);
   });
-  RecordOp(OpKind::kMulScalar, t, {&x, &s});
-  return t;
 }
 
 Tensor Dropout(const Tensor& x, float drop_rate, util::Rng& rng,
@@ -583,6 +532,7 @@ Tensor Dropout(const Tensor& x, float drop_rate, util::Rng& rng,
   CHECK_GE(drop_rate, 0.0f);
   CHECK_LT(drop_rate, 1.0f);
   if (!training || drop_rate == 0.0f) return x;
+  CheckNotRecording("Dropout (training mode)");
   float keep = 1.0f - drop_rate;
   float inv_keep = 1.0f / keep;
   Matrix mask(x.rows(), x.cols());
@@ -591,19 +541,17 @@ Tensor Dropout(const Tensor& x, float drop_rate, util::Rng& rng,
   }
   Matrix out = x.value();
   for (size_t i = 0; i < out.size(); ++i) out.data()[i] *= mask.data()[i];
-  Tensor t = Tensor::MakeOp(std::move(out), {x},
-                            [mask = std::move(mask)](Node& self) {
-                              Node& px = *self.parents[0];
-                              if (!px.requires_grad) return;
-                              Matrix delta(self.grad.rows(), self.grad.cols());
-                              for (size_t i = 0; i < delta.size(); ++i) {
-                                delta.data()[i] =
-                                    self.grad.data()[i] * mask.data()[i];
-                              }
-                              AccumulateInto(px, delta);
-                            });
-  RecordOp(OpKind::kDropout, t, {&x}, drop_rate);
-  return t;
+  return Tensor::MakeOp(std::move(out), {x},
+                        [mask = std::move(mask)](Node& self) {
+                          Node& px = *self.parents[0];
+                          if (!px.requires_grad) return;
+                          Matrix delta(self.grad.rows(), self.grad.cols());
+                          for (size_t i = 0; i < delta.size(); ++i) {
+                            delta.data()[i] =
+                                self.grad.data()[i] * mask.data()[i];
+                          }
+                          AccumulateInto(px, delta);
+                        });
 }
 
 Tensor Conv1dSame(const Tensor& x, const Tensor& kernel) {

@@ -79,28 +79,18 @@ Tensor SquaredL2Diff(const Tensor& a, const Tensor& b);
 
 /// Softmax cross-entropy of a (1 x C) logit row against class `target`;
 /// returns the (1 x 1) loss. Numerically stabilized (max subtraction).
+/// Training-only: CHECK-fails while a GraphRecorder is active.
 Tensor SoftmaxCrossEntropy(const Tensor& logits, size_t target);
 
-/// Tensor-operand variant: `target` is a non-differentiable (1 x 1) tensor
-/// holding the float-encoded class index. Identical arithmetic to the
-/// attribute form, but the target can vary per execution when the graph is
-/// replayed from a recorded plan.
-Tensor SoftmaxCrossEntropy(const Tensor& logits, const Tensor& target);
-
 /// Binary cross-entropy of a (1 x 1) logit against label in {0, 1};
-/// returns the (1 x 1) loss. Numerically stabilized.
+/// returns the (1 x 1) loss. Numerically stabilized. Training-only:
+/// CHECK-fails while a GraphRecorder is active.
 Tensor SigmoidBinaryCrossEntropy(const Tensor& logit, float label);
 
-/// Tensor-operand variant: `label` is a non-differentiable (1 x 1) tensor,
-/// so it can vary per execution when replayed from a recorded plan.
-Tensor SigmoidBinaryCrossEntropy(const Tensor& logit, const Tensor& label);
-
-/// x * s for a non-differentiable (1 x 1) scale tensor — the plan-friendly
-/// form of Scale for scales that vary per execution (e.g. pair weights).
-Tensor MulScalar(const Tensor& x, const Tensor& s);
-
 /// Inverted dropout: at training time zeroes each element with probability
-/// `drop_rate` and scales survivors by 1 / keep; identity at inference.
+/// `drop_rate` and scales survivors by 1 / keep; identity at inference
+/// (and then recordable, as it records nothing). Training mode CHECK-fails
+/// while a GraphRecorder is active.
 Tensor Dropout(const Tensor& x, float drop_rate, util::Rng& rng,
                bool training);
 

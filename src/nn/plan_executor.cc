@@ -1,45 +1,20 @@
 #include "nn/plan_executor.h"
 
-#include <cstring>
-
 // Header-only metrics core: no link dependency needed for the counter.
 #include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace hisrect::nn {
 
-void PlanExecutor::Forward(const Graph& graph, PlanRun& run, util::Rng* rng) {
+void PlanExecutor::Forward(const Graph& graph, PlanRun& run) {
   if (run.arena.size() < graph.arena_floats) {
     run.arena.resize(graph.arena_floats);  // grow-only; warmup cost
   }
   const std::vector<const float*>& inputs = run.inputs.Pointers();
   CHECK_EQ(inputs.size(), graph.num_inputs);
-  ExecState st{&graph, run.arena.data(), &inputs, rng};
+  ExecState st{&graph, run.arena.data(), &inputs};
   for (const Instr& ins : graph.instrs) {
     GetOpSchema(ins.kind).forward(graph, ins, st);
-  }
-}
-
-void PlanExecutor::Backward(const Graph& graph, PlanRun& run, float seed) {
-  CHECK(graph.training);
-  CHECK_GE(graph.output_grad_buffer, 0)
-      << "graph was recorded from a non-differentiable output";
-  // Parameter grads are persistent (eager semantics): sized on first use,
-  // then accumulated across Backward calls until the optimizer consumes and
-  // zeroes them.
-  for (const auto& param : graph.params) param->EnsureGrad();
-  const std::vector<const float*>& inputs = run.inputs.Pointers();
-  CHECK_EQ(inputs.size(), graph.num_inputs);
-  ExecState st{&graph, run.arena.data(), &inputs, nullptr};
-  st.Ptr(graph.output_grad_buffer)[0] = seed;
-  for (size_t p = 0; p < graph.backward_order.size(); ++p) {
-    // Grad slots are arena-reused; zero each at its first write.
-    for (int32_t gb : graph.zero_before[p]) {
-      const BufferDesc& desc = graph.buffers[gb];
-      std::memset(st.Ptr(gb), 0, desc.size() * sizeof(float));
-    }
-    const Instr& ins = graph.instrs[graph.backward_order[p]];
-    GetOpSchema(ins.kind).backward(graph, ins, st);
   }
 }
 

@@ -7,23 +7,22 @@
 #include <vector>
 
 #include "nn/graph_ir.h"
-#include "util/rng.h"
 
 namespace hisrect::nn {
 
-/// Opt-in switch for plan-based execution, threaded through trainer and
-/// model configs. Off by default: the eager tape stays the reference path.
+/// Opt-in switch for plan-based scoring (HisRectModelConfig::plan). Off by
+/// default: the eager tape stays the reference path, and training always
+/// runs it.
 struct PlanOptions {
   bool enabled = false;
-  /// Run GraphOptimizer fusion (Linear+ReLU / Linear+Tanh / MatMul+bias)
-  /// over recorded plans. Fused fp32 plans stay bitwise-identical to the
-  /// eager tape; safe for training and serving. Implies nothing else.
+  /// Run GraphOptimizer fusion (Linear+ReLU / Linear+Tanh / MatMul+bias /
+  /// LSTM-gate dual linear) over recorded plans. Fused fp32 plans stay
+  /// bitwise-identical to the eager tape. Implies nothing else.
   bool fuse = false;
-  /// Serving-only: after `calibration_samples` fp32 executions per plan
-  /// shape, rebuild the plan with int8 fused-linear kernels (per-channel
-  /// symmetric weights, fp32 accumulation epilogue). NOT bitwise — judgement
-  /// quality is gated by AUC deltas instead. Implies `fuse`. Ignored by the
-  /// trainers (quantized plans have no backward).
+  /// After `calibration_samples` fp32 executions per plan shape, rebuild
+  /// the plan with int8 fused-linear kernels (per-channel symmetric
+  /// weights, fp32 accumulation epilogue). NOT bitwise — judgement quality
+  /// is gated by AUC deltas instead. Implies `fuse`.
   bool quantize = false;
   /// Executions observed per plan shape before quantizing.
   int calibration_samples = 16;
@@ -46,15 +45,8 @@ class PlanInputs {
   /// Caller-owned pointer, stable for the duration of the execution.
   void AddDirect(const float* data) { entries_.push_back({data, 0, 0}); }
 
-  /// Copies n floats into the staging buffer.
-  void AddStaged(const float* data, size_t n) {
-    size_t offset = staging_.size();
-    staging_.insert(staging_.end(), data, data + n);
-    entries_.push_back({nullptr, offset, n});
-  }
-
   /// Reserves n staged floats and returns a pointer to fill immediately —
-  /// the pointer is invalidated by the next Add*/AllocStaged call.
+  /// the pointer is invalidated by the next AllocStaged call.
   float* AllocStaged(size_t n) {
     size_t offset = staging_.size();
     staging_.resize(offset + n);
@@ -96,21 +88,12 @@ struct PlanRun {
 };
 
 /// Replays a recorded, memory-planned Graph. All methods are static and
-/// re-entrant; all mutable state lives in PlanRun (and in the bound
-/// parameter Nodes for Backward).
+/// re-entrant; all mutable state lives in PlanRun.
 class PlanExecutor {
  public:
-  /// Executes the forward program. Grows run.arena to the planned size on
-  /// first use (the only allocation; steady-state replays allocate nothing).
-  /// `rng` feeds dropout instrs and must be in the same state as the eager
-  /// tape's rng would be — pass nullptr for graphs without dropout.
-  static void Forward(const Graph& graph, PlanRun& run, util::Rng* rng);
-
-  /// Executes the backward program, seeding d(output)/d(output) = seed.
-  /// Accumulates into the bound parameters' Node::grad matrices — the same
-  /// persistent-accumulation semantics as the eager tape (the optimizer
-  /// zeroes them after its step).
-  static void Backward(const Graph& graph, PlanRun& run, float seed);
+  /// Executes the program. Grows run.arena to the planned size on first use
+  /// (the only allocation; steady-state replays allocate nothing).
+  static void Forward(const Graph& graph, PlanRun& run);
 
   /// The recorded output value (must be 1x1).
   static float OutputScalar(const Graph& graph, const PlanRun& run);

@@ -76,11 +76,14 @@ bool TraceRecorder::enabled() {
 }
 
 uint64_t TraceRecorder::NowNanos() {
+  // Read the epoch first: on the process's first call it is initialized
+  // here, and a `now` sampled before it would be earlier and wrap.
+  const uint64_t start = ProcessStartNanos();
   const uint64_t now = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-  return now - ProcessStartNanos();
+  return now - start;
 }
 
 void TraceRecorder::Record(const char* name, uint64_t begin_ns,

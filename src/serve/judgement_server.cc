@@ -123,36 +123,53 @@ util::Result<Ticket> JudgementServer::Submit(JudgementRequest request) {
       "hisrect.serve.requests_admitted");
   static obs::Counter* rejected = obs::MetricsRegistry::Global().GetCounter(
       "hisrect.serve.requests_rejected");
+  using Clock = std::chrono::steady_clock;
   const size_t klass = static_cast<size_t>(request.priority);
-  CHECK_LT(klass, kNumPriorities);
-  const size_t bound = request.priority == Priority::kInteractive
-                           ? options_.max_queue
-                           : options_.max_batch_queue;
   Ticket ticket;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
+    auto reject = [&](util::Status status) {
       ++stats_.rejected;
       rejected->Increment();
-      return util::Status::FailedPrecondition("judgement server shut down");
+      return status;
+    };
+    if (klass >= kNumPriorities) {
+      return reject(util::Status::InvalidArgument(
+          "priority " + std::to_string(klass) + " is not a Priority class"));
     }
+    const Clock::time_point admitted_at = Clock::now();
+    // admitted_at + timeout_us must stay representable: past the clock's
+    // range the addition is signed overflow.
+    const uint64_t max_timeout_us = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            Clock::time_point::max() - admitted_at)
+            .count());
+    if (request.timeout_us > max_timeout_us) {
+      return reject(util::Status::InvalidArgument(
+          "timeout_us " + std::to_string(request.timeout_us) +
+          " puts the deadline past the clock's range"));
+    }
+    if (stopping_) {
+      return reject(
+          util::Status::FailedPrecondition("judgement server shut down"));
+    }
+    const size_t bound = request.priority == Priority::kInteractive
+                             ? options_.max_queue
+                             : options_.max_batch_queue;
     if (queues_[klass].size() >= bound) {
-      ++stats_.rejected;
-      rejected->Increment();
-      return util::Status::Unavailable(
+      return reject(util::Status::Unavailable(
           (request.priority == Priority::kInteractive
                ? std::string("interactive")
                : std::string("batch")) +
           " judgement queue full (" + std::to_string(bound) +
-          " pending); retry later");
+          " pending); retry later"));
     }
     Pending pending;
-    pending.admitted_at = std::chrono::steady_clock::now();
+    pending.admitted_at = admitted_at;
     pending.deadline =
         request.timeout_us == 0
-            ? std::chrono::steady_clock::time_point::max()
-            : pending.admitted_at +
-                  std::chrono::microseconds(request.timeout_us);
+            ? Clock::time_point::max()
+            : admitted_at + std::chrono::microseconds(request.timeout_us);
     pending.request = std::move(request);
     pending.id = next_id_++;
     ticket.future_ = pending.promise.get_future();

@@ -111,7 +111,8 @@ struct JudgementRequest {
   Priority priority = Priority::kInteractive;
   /// Per-request deadline, in microseconds from admission; 0 means none.
   /// An overdue request is expired with kDeadlineExceeded when the batcher
-  /// next forms a batch — never after it entered a batch.
+  /// next forms a batch — never after it entered a batch. A deadline past
+  /// the steady clock's range is rejected at admission.
   uint64_t timeout_us = 0;
 };
 
@@ -184,10 +185,11 @@ class JudgementServer {
   JudgementServer(const JudgementServer&) = delete;
   JudgementServer& operator=(const JudgementServer&) = delete;
 
-  /// Admits the request and returns a Ticket, or fails fast: kUnavailable
-  /// when the request's priority class is at its queue bound (overload),
-  /// kFailedPrecondition after Shutdown. Thread-safe; never blocks on
-  /// scoring.
+  /// Admits the request and returns a Ticket, or fails fast:
+  /// kInvalidArgument for a priority outside Priority or a timeout_us whose
+  /// deadline is past the clock's range, kUnavailable when the request's
+  /// priority class is at its queue bound (overload), kFailedPrecondition
+  /// after Shutdown. Thread-safe; never blocks on scoring.
   util::Result<Ticket> Submit(JudgementRequest request);
 
   /// Atomically replaces the served model. Batches already formed finish on

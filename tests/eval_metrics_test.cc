@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include "eval/metrics.h"
@@ -196,14 +197,15 @@ TEST_F(TenFoldTest, ConstantScorerGetsPositiveRateAccuracy) {
 }
 
 TEST_F(TenFoldTest, ScoresEachPairExactlyOnce) {
-  size_t calls = 0;
+  // ScoreLabeledPairs calls the scorer from pool threads concurrently.
+  std::atomic<size_t> calls{0};
   PairScorer counting = [&calls](const data::Profile&, const data::Profile&) {
-    ++calls;
+    calls.fetch_add(1, std::memory_order_relaxed);
     return 0.5;
   };
   util::Rng rng(1);
   EvaluateTenFold(split_, counting, rng);
-  EXPECT_EQ(calls,
+  EXPECT_EQ(calls.load(),
             split_.positive_pairs.size() + split_.negative_pairs.size());
 }
 

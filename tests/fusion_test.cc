@@ -1,14 +1,15 @@
 // Graph-level equivalence harness for the GraphOptimizer fusion pass
 // (nn/graph_optimizer.h, DESIGN.md §12). The contract under test: a fused
-// fp32 plan computes bitwise-identical forward values AND parameter
-// gradients to both the unfused plan and the eager tape — at any thread
-// count — while strictly removing instructions. Per-pattern golden tests
-// pin each rewrite (Linear+ReLU, Linear+Tanh, bare MatMul+bias); the
-// randomized sweep drives seeded MLP and two-tower judge-head shapes
-// through record -> fuse -> plan -> execute against the eager reference;
-// the negative tests pin the legality analysis on near-miss graphs.
+// fp32 inference plan computes bitwise-identical outputs to both the
+// unfused plan and the eval-mode eager tape — at any thread count — while
+// strictly removing instructions. Per-pattern golden tests pin each
+// rewrite (Linear+ReLU, Linear+Tanh, bare MatMul+bias, LSTM-gate dual
+// linear); the randomized sweep drives seeded MLP shapes through
+// record -> fuse -> plan -> execute against the eager reference; the
+// negative tests pin the legality analysis on near-miss graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,6 +49,20 @@ size_t CountKind(const nn::Graph& graph, nn::OpKind kind) {
   return count;
 }
 
+// Replays `plan` on the given inputs and returns a copy of its output.
+nn::Matrix Replay(const nn::Graph& plan,
+                  const std::vector<const nn::Matrix*>& inputs) {
+  nn::PlanRun run;
+  run.inputs.Reset();
+  for (const nn::Matrix* input : inputs) run.inputs.AddDirect(input->data());
+  nn::PlanExecutor::Forward(plan, run);
+  const nn::BufferDesc& out = plan.buffers[plan.output_buffer];
+  nn::Matrix result(out.rows, out.cols);
+  const float* data = nn::PlanExecutor::OutputData(plan, run);
+  std::copy(data, data + out.size(), result.data());
+  return result;
+}
+
 enum class Act { kNone, kRelu, kTanh };
 
 Tensor ApplyAct(Tensor h, Act act) {
@@ -68,15 +83,6 @@ struct Mlp {
   std::vector<Tensor> weights;
   std::vector<Tensor> biases;
   std::vector<Act> acts;
-
-  std::vector<Tensor*> Params() {
-    std::vector<Tensor*> params;
-    for (size_t i = 0; i < weights.size(); ++i) {
-      params.push_back(&weights[i]);
-      params.push_back(&biases[i]);
-    }
-    return params;
-  }
 };
 
 Mlp MakeMlp(const std::vector<size_t>& dims, const std::vector<Act>& acts,
@@ -92,8 +98,7 @@ Mlp MakeMlp(const std::vector<size_t>& dims, const std::vector<Act>& acts,
   return net;
 }
 
-// Scalar loss so training plans have the 1x1 root Backward seeds.
-Tensor MlpLoss(Mlp& net, const Tensor& x) {
+Tensor MlpForward(Mlp& net, const Tensor& x) {
   nn::RecordPlanInput(x);
   Tensor h = x;
   for (size_t l = 0; l < net.weights.size(); ++l) {
@@ -101,53 +106,14 @@ Tensor MlpLoss(Mlp& net, const Tensor& x) {
                                      net.biases[l]),
                  net.acts[l]);
   }
-  return nn::SumAll(h);
+  return h;
 }
 
-struct EagerResult {
-  float loss = 0.0f;
-  std::vector<nn::Matrix> grads;
-};
-
-EagerResult EagerReference(Mlp& net, const nn::Matrix& xv) {
+std::shared_ptr<const nn::Graph> RecordMlpPlan(Mlp& net,
+                                               const nn::Matrix& xv) {
+  nn::GraphRecorder recorder;
   Tensor x = Tensor::FromMatrix(xv);
-  Tensor loss = MlpLoss(net, x);
-  loss.Backward();
-  EagerResult result;
-  result.loss = loss.value().At(0, 0);
-  for (Tensor* p : net.Params()) {
-    result.grads.push_back(p->grad());
-    p->ZeroGrad();
-  }
-  return result;
-}
-
-std::shared_ptr<const nn::Graph> RecordMlpPlan(Mlp& net, const nn::Matrix& xv,
-                                               bool training) {
-  nn::GraphRecorder recorder(training);
-  Tensor x = Tensor::FromMatrix(xv);
-  return recorder.Finish(MlpLoss(net, x));
-}
-
-// Replays a (possibly fused) training plan and checks loss + every param
-// grad bitwise against the eager reference. Leaves param grads zeroed.
-void ExpectPlanMatchesEager(const nn::Graph& plan, Mlp& net,
-                            const nn::Matrix& xv, const EagerResult& eager,
-                            const std::string& what) {
-  nn::PlanRun run;
-  run.inputs.Reset();
-  run.inputs.AddDirect(xv.data());
-  nn::PlanExecutor::Forward(plan, run, /*rng=*/nullptr);
-  ExpectBitwiseEqual(eager.loss, nn::PlanExecutor::OutputScalar(plan, run),
-                     what + " loss");
-  nn::PlanExecutor::Backward(plan, run, 1.0f);
-  std::vector<Tensor*> params = net.Params();
-  ASSERT_EQ(params.size(), eager.grads.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    ExpectBitwiseEqual(eager.grads[i], params[i]->grad(),
-                       what + " param grad " + std::to_string(i));
-    params[i]->ZeroGrad();
-  }
+  return recorder.Finish(MlpForward(net, x));
 }
 
 // ---------------------------------------------------------------------------
@@ -158,9 +124,9 @@ void CheckSingleLayerPattern(Act act, nn::OpKind fused_kind) {
   util::Rng rng(101 + static_cast<int>(act));
   Mlp net = MakeMlp({5, 7}, {act}, rng);
   nn::Matrix xv = RandomMatrix(2, 5, rng);
-  EagerResult eager = EagerReference(net, xv);
+  const nn::Matrix eager = MlpForward(net, Tensor::FromMatrix(xv)).value();
 
-  auto unfused = RecordMlpPlan(net, xv, /*training=*/true);
+  auto unfused = RecordMlpPlan(net, xv);
   nn::FusionStats stats;
   auto fused = nn::FuseGraph(*unfused, &stats);
   EXPECT_EQ(stats.total(), 1);
@@ -171,20 +137,8 @@ void CheckSingleLayerPattern(Act act, nn::OpKind fused_kind) {
   EXPECT_EQ(CountKind(*fused, nn::OpKind::kTanh), 0u);
   EXPECT_LT(fused->instrs.size(), unfused->instrs.size());
 
-  ExpectPlanMatchesEager(*unfused, net, xv, eager, "unfused");
-  ExpectPlanMatchesEager(*fused, net, xv, eager, "fused");
-
-  // Eval-mode recording of the same net must also fuse and match forward.
-  auto eval_fused = nn::FuseGraph(*RecordMlpPlan(net, xv, /*training=*/false));
-  EXPECT_EQ(CountKind(*eval_fused, fused_kind), 1u);
-  EXPECT_TRUE(eval_fused->backward_order.empty());
-  nn::PlanRun run;
-  run.inputs.Reset();
-  run.inputs.AddDirect(xv.data());
-  nn::PlanExecutor::Forward(*eval_fused, run, /*rng=*/nullptr);
-  ExpectBitwiseEqual(eager.loss,
-                     nn::PlanExecutor::OutputScalar(*eval_fused, run),
-                     "eval fused loss");
+  ExpectBitwiseEqual(eager, Replay(*unfused, {&xv}), "unfused");
+  ExpectBitwiseEqual(eager, Replay(*fused, {&xv}), "fused");
 }
 
 TEST(FusionGoldenTest, LinearReluFusesBitwise) {
@@ -208,7 +162,6 @@ TEST(FusionGoldenTest, TwoTowerJudgeShapeFusesBitwise) {
   Tensor b = Tensor::FromMatrix(RandomMatrix(1, 4, rng), true);
   Tensor wh = Tensor::FromMatrix(RandomMatrix(8, 3, rng), true);
   Tensor bh = Tensor::FromMatrix(RandomMatrix(1, 3, rng), true);
-  std::vector<Tensor*> params = {&w, &b, &wh, &bh};
   nn::Matrix av = RandomMatrix(1, 6, rng);
   nn::Matrix bv = RandomMatrix(1, 6, rng);
 
@@ -217,21 +170,14 @@ TEST(FusionGoldenTest, TwoTowerJudgeShapeFusesBitwise) {
     nn::RecordPlanInput(xb);
     Tensor ta = nn::Tanh(nn::AddBroadcastRow(nn::MatMul(xa, w), b));
     Tensor tb = nn::Tanh(nn::AddBroadcastRow(nn::MatMul(xb, w), b));
-    Tensor head = nn::Relu(
+    return nn::Relu(
         nn::AddBroadcastRow(nn::MatMul(nn::ConcatCols(ta, tb), wh), bh));
-    return nn::SumAll(head);
   };
 
-  Tensor loss = forward(Tensor::FromMatrix(av), Tensor::FromMatrix(bv));
-  loss.Backward();
-  EagerResult eager;
-  eager.loss = loss.value().At(0, 0);
-  for (Tensor* p : params) {
-    eager.grads.push_back(p->grad());
-    p->ZeroGrad();
-  }
+  const nn::Matrix eager =
+      forward(Tensor::FromMatrix(av), Tensor::FromMatrix(bv)).value();
 
-  nn::GraphRecorder recorder(/*training=*/true);
+  nn::GraphRecorder recorder;
   auto plan =
       recorder.Finish(forward(Tensor::FromMatrix(av), Tensor::FromMatrix(bv)));
   nn::FusionStats stats;
@@ -239,24 +185,12 @@ TEST(FusionGoldenTest, TwoTowerJudgeShapeFusesBitwise) {
   EXPECT_EQ(stats.fused_linear_tanh, 2);
   EXPECT_EQ(stats.fused_linear_relu, 1);
   EXPECT_EQ(CountKind(*fused, nn::OpKind::kMatMul), 0u);
-
-  nn::PlanRun run;
-  run.inputs.Reset();
-  run.inputs.AddDirect(av.data());
-  run.inputs.AddDirect(bv.data());
-  nn::PlanExecutor::Forward(*fused, run, /*rng=*/nullptr);
-  ExpectBitwiseEqual(eager.loss, nn::PlanExecutor::OutputScalar(*fused, run),
-                     "two-tower loss");
-  nn::PlanExecutor::Backward(*fused, run, 1.0f);
-  for (size_t i = 0; i < params.size(); ++i) {
-    ExpectBitwiseEqual(eager.grads[i], params[i]->grad(),
-                       "two-tower param grad " + std::to_string(i));
-    params[i]->ZeroGrad();
-  }
+  ExpectBitwiseEqual(eager, Replay(*fused, {&av, &bv}), "two-tower");
 }
 
 // LSTM-gate preactivation x@W + h@U + b — four adjacent instrs — collapses
-// into one kFusedDualLinear on inference plans and stays bitwise.
+// into one kFusedDualLinear and stays bitwise, with the MatMuls recorded in
+// either order.
 TEST(FusionGoldenTest, DualLinearGateFusesBitwiseInEval) {
   util::Rng rng(311);
   Tensor w = Tensor::FromMatrix(RandomMatrix(6, 8, rng), true);
@@ -265,96 +199,46 @@ TEST(FusionGoldenTest, DualLinearGateFusesBitwiseInEval) {
   nn::Matrix xv = RandomMatrix(2, 6, rng);
   nn::Matrix hv = RandomMatrix(2, 4, rng);
 
-  auto forward = [&](const Tensor& x, const Tensor& h) {
-    nn::RecordPlanInput(x);
-    nn::RecordPlanInput(h);
-    Tensor pre =
-        nn::AddBroadcastRow(nn::Add(nn::MatMul(x, w), nn::MatMul(h, u)), b);
-    return nn::SumAll(nn::Tanh(pre));
-  };
+  for (bool h_first : {false, true}) {
+    auto forward = [&](const Tensor& x, const Tensor& h) {
+      nn::RecordPlanInput(x);
+      nn::RecordPlanInput(h);
+      Tensor xw, hu;
+      if (h_first) {
+        hu = nn::MatMul(h, u);
+        xw = nn::MatMul(x, w);
+      } else {
+        xw = nn::MatMul(x, w);
+        hu = nn::MatMul(h, u);
+      }
+      // The preactivation itself is part of the output, so an epilogue
+      // that reassociated the sum could not hide behind tanh rounding.
+      Tensor pre = nn::AddBroadcastRow(nn::Add(xw, hu), b);
+      return nn::ConcatCols(pre, nn::Tanh(pre));
+    };
+    const std::string what = h_first ? "h@U first" : "x@W first";
 
-  Tensor eager = forward(Tensor::FromMatrix(xv), Tensor::FromMatrix(hv));
-  const float eager_loss = eager.value().At(0, 0);
+    const nn::Matrix eager =
+        forward(Tensor::FromMatrix(xv), Tensor::FromMatrix(hv)).value();
 
-  nn::GraphRecorder recorder(/*training=*/false);
-  auto plan =
-      recorder.Finish(forward(Tensor::FromMatrix(xv), Tensor::FromMatrix(hv)));
-  nn::FusionStats stats;
-  auto fused = nn::FuseGraph(*plan, &stats);
-  EXPECT_EQ(stats.fused_dual_linear, 1);
-  EXPECT_EQ(stats.total(), 1);
-  EXPECT_EQ(CountKind(*fused, nn::OpKind::kFusedDualLinear), 1u);
-  EXPECT_EQ(CountKind(*fused, nn::OpKind::kMatMul), 0u);
-  EXPECT_EQ(CountKind(*fused, nn::OpKind::kAdd), 0u);
-  EXPECT_EQ(CountKind(*fused, nn::OpKind::kAddBroadcastRow), 0u);
-  EXPECT_TRUE(fused->backward_order.empty());
-
-  nn::PlanRun run;
-  run.inputs.Reset();
-  run.inputs.AddDirect(xv.data());
-  run.inputs.AddDirect(hv.data());
-  nn::PlanExecutor::Forward(*fused, run, /*rng=*/nullptr);
-  ExpectBitwiseEqual(eager_loss, nn::PlanExecutor::OutputScalar(*fused, run),
-                     "dual gate loss");
-  for (Tensor* p : std::vector<Tensor*>{&w, &u, &b}) p->ZeroGrad();
+    nn::GraphRecorder recorder;
+    auto plan = recorder.Finish(
+        forward(Tensor::FromMatrix(xv), Tensor::FromMatrix(hv)));
+    nn::FusionStats stats;
+    auto fused = nn::FuseGraph(*plan, &stats);
+    EXPECT_EQ(stats.fused_dual_linear, 1) << what;
+    EXPECT_EQ(stats.total(), 1) << what;
+    EXPECT_EQ(CountKind(*fused, nn::OpKind::kFusedDualLinear), 1u) << what;
+    EXPECT_EQ(CountKind(*fused, nn::OpKind::kMatMul), 0u) << what;
+    EXPECT_EQ(CountKind(*fused, nn::OpKind::kAdd), 0u) << what;
+    EXPECT_EQ(CountKind(*fused, nn::OpKind::kAddBroadcastRow), 0u) << what;
+    ExpectBitwiseEqual(eager, Replay(*fused, {&xv, &hv}), what);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Negative tests: near-miss patterns the legality analysis must reject.
 // ---------------------------------------------------------------------------
-
-// The same gate pattern in a training plan must NOT dual-fuse (the fused
-// kernel has no backward); the plan still replays bitwise, gradients
-// included.
-TEST(FusionNegativeTest, DualLinearGateDoesNotFuseInTraining) {
-  util::Rng rng(312);
-  Tensor w = Tensor::FromMatrix(RandomMatrix(5, 6, rng), true);
-  Tensor u = Tensor::FromMatrix(RandomMatrix(3, 6, rng), true);
-  Tensor b = Tensor::FromMatrix(RandomMatrix(1, 6, rng), true);
-  std::vector<Tensor*> params = {&w, &u, &b};
-  nn::Matrix xv = RandomMatrix(1, 5, rng);
-  nn::Matrix hv = RandomMatrix(1, 3, rng);
-
-  auto forward = [&](const Tensor& x, const Tensor& h) {
-    nn::RecordPlanInput(x);
-    nn::RecordPlanInput(h);
-    Tensor pre =
-        nn::AddBroadcastRow(nn::Add(nn::MatMul(x, w), nn::MatMul(h, u)), b);
-    return nn::SumAll(nn::Tanh(pre));
-  };
-
-  Tensor loss = forward(Tensor::FromMatrix(xv), Tensor::FromMatrix(hv));
-  loss.Backward();
-  EagerResult eager;
-  eager.loss = loss.value().At(0, 0);
-  for (Tensor* p : params) {
-    eager.grads.push_back(p->grad());
-    p->ZeroGrad();
-  }
-
-  nn::GraphRecorder recorder(/*training=*/true);
-  auto plan =
-      recorder.Finish(forward(Tensor::FromMatrix(xv), Tensor::FromMatrix(hv)));
-  nn::FusionStats stats;
-  auto fused = nn::FuseGraph(*plan, &stats);
-  EXPECT_EQ(stats.fused_dual_linear, 0);
-  EXPECT_EQ(CountKind(*fused, nn::OpKind::kFusedDualLinear), 0u);
-  EXPECT_EQ(CountKind(*fused, nn::OpKind::kMatMul), 2u);
-
-  nn::PlanRun run;
-  run.inputs.Reset();
-  run.inputs.AddDirect(xv.data());
-  run.inputs.AddDirect(hv.data());
-  nn::PlanExecutor::Forward(*fused, run, /*rng=*/nullptr);
-  ExpectBitwiseEqual(eager.loss, nn::PlanExecutor::OutputScalar(*fused, run),
-                     "training gate loss");
-  nn::PlanExecutor::Backward(*fused, run, 1.0f);
-  for (size_t i = 0; i < params.size(); ++i) {
-    ExpectBitwiseEqual(eager.grads[i], params[i]->grad(),
-                       "training gate grad " + std::to_string(i));
-    params[i]->ZeroGrad();
-  }
-}
 
 // The linear output feeds two consumers, so the activation cannot be folded
 // (the intermediate must stay materialized) — but the MatMul+bias pair
@@ -368,17 +252,12 @@ TEST(FusionNegativeTest, SharedLinearOutputKeepsActivationUnfused) {
   auto forward = [&](const Tensor& x) {
     nn::RecordPlanInput(x);
     Tensor lin = nn::AddBroadcastRow(nn::MatMul(x, w), b);
-    return nn::SumAll(nn::Add(nn::Relu(lin), lin));  // lin consumed twice
+    return nn::Add(nn::Relu(lin), lin);  // lin consumed twice
   };
 
-  Tensor loss = forward(Tensor::FromMatrix(xv));
-  loss.Backward();
-  const float eager_loss = loss.value().At(0, 0);
-  nn::Matrix gw = w.grad(), gb = b.grad();
-  w.ZeroGrad();
-  b.ZeroGrad();
+  const nn::Matrix eager = forward(Tensor::FromMatrix(xv)).value();
 
-  nn::GraphRecorder recorder(/*training=*/true);
+  nn::GraphRecorder recorder;
   auto plan = recorder.Finish(forward(Tensor::FromMatrix(xv)));
   nn::FusionStats stats;
   auto fused = nn::FuseGraph(*plan, &stats);
@@ -387,18 +266,7 @@ TEST(FusionNegativeTest, SharedLinearOutputKeepsActivationUnfused) {
   EXPECT_EQ(CountKind(*fused, nn::OpKind::kFusedLinear), 1u);
   EXPECT_EQ(CountKind(*fused, nn::OpKind::kRelu), 1u);
   EXPECT_EQ(CountKind(*fused, nn::OpKind::kMatMul), 0u);
-
-  nn::PlanRun run;
-  run.inputs.Reset();
-  run.inputs.AddDirect(xv.data());
-  nn::PlanExecutor::Forward(*fused, run, /*rng=*/nullptr);
-  ExpectBitwiseEqual(eager_loss, nn::PlanExecutor::OutputScalar(*fused, run),
-                     "shared-lin loss");
-  nn::PlanExecutor::Backward(*fused, run, 1.0f);
-  ExpectBitwiseEqual(gw, w.grad(), "shared-lin W grad");
-  ExpectBitwiseEqual(gb, b.grad(), "shared-lin b grad");
-  w.ZeroGrad();
-  b.ZeroGrad();
+  ExpectBitwiseEqual(eager, Replay(*fused, {&xv}), "shared-lin");
 }
 
 // The MatMul output itself has a second consumer: folding it into the bias
@@ -409,12 +277,12 @@ TEST(FusionNegativeTest, SharedMatMulOutputDoesNotFuse) {
   Tensor b = Tensor::FromMatrix(RandomMatrix(1, 5, rng), true);
   nn::Matrix xv = RandomMatrix(1, 4, rng);
 
-  nn::GraphRecorder recorder(/*training=*/true);
+  nn::GraphRecorder recorder;
   Tensor x = Tensor::FromMatrix(xv);
   nn::RecordPlanInput(x);
   Tensor mm = nn::MatMul(x, w);
   Tensor lin = nn::AddBroadcastRow(mm, b);
-  auto plan = recorder.Finish(nn::SumAll(nn::Add(lin, mm)));
+  auto plan = recorder.Finish(nn::Add(lin, mm));
 
   nn::FusionStats stats;
   auto fused = nn::FuseGraph(*plan, &stats);
@@ -422,8 +290,6 @@ TEST(FusionNegativeTest, SharedMatMulOutputDoesNotFuse) {
   EXPECT_EQ(CountKind(*fused, nn::OpKind::kFusedLinear), 0u);
   EXPECT_EQ(CountKind(*fused, nn::OpKind::kMatMul), 1u);
   EXPECT_EQ(fused->instrs.size(), plan->instrs.size());
-  w.ZeroGrad();
-  b.ZeroGrad();
 }
 
 // MatMul straight into an activation — no broadcast bias add between them —
@@ -433,22 +299,21 @@ TEST(FusionNegativeTest, MatMulWithoutBiasDoesNotFuse) {
   Tensor w = Tensor::FromMatrix(RandomMatrix(4, 5, rng), true);
   nn::Matrix xv = RandomMatrix(1, 4, rng);
 
-  nn::GraphRecorder recorder(/*training=*/true);
+  nn::GraphRecorder recorder;
   Tensor x = Tensor::FromMatrix(xv);
   nn::RecordPlanInput(x);
-  auto plan = recorder.Finish(nn::SumAll(nn::Relu(nn::MatMul(x, w))));
+  auto plan = recorder.Finish(nn::Relu(nn::MatMul(x, w)));
 
   nn::FusionStats stats;
   auto fused = nn::FuseGraph(*plan, &stats);
   EXPECT_EQ(stats.total(), 0);
   EXPECT_EQ(CountKind(*fused, nn::OpKind::kMatMul), 1u);
   EXPECT_EQ(CountKind(*fused, nn::OpKind::kRelu), 1u);
-  w.ZeroGrad();
 }
 
 // ---------------------------------------------------------------------------
-// Randomized graph-equivalence sweep: seeded shapes, fused vs eager,
-// forward + backward, at 1/2/4 global-pool threads.
+// Randomized graph-equivalence sweep: seeded shapes, fused vs eager, at
+// 1/2/4 global-pool threads.
 // ---------------------------------------------------------------------------
 
 class FusionSweepTest : public ::testing::Test {
@@ -473,20 +338,19 @@ TEST_F(FusionSweepTest, RandomizedMlpsBitwiseMatchEagerAcrossThreads) {
     nn::Matrix xv = RandomMatrix(rows, dims[0], rng);
 
     util::ThreadPool::SetGlobalNumThreads(1);
-    EagerResult eager = EagerReference(net, xv);
+    const nn::Matrix eager = MlpForward(net, Tensor::FromMatrix(xv)).value();
 
-    auto unfused = RecordMlpPlan(net, xv, /*training=*/true);
     nn::FusionStats stats;
-    auto fused = nn::FuseGraph(*unfused, &stats);
+    auto fused = nn::FuseGraph(*RecordMlpPlan(net, xv), &stats);
     // Every layer is an adjacent single-consumer chain: all of them fuse.
     ASSERT_EQ(stats.total(), static_cast<int>(depth)) << "seed " << seed;
     ASSERT_EQ(CountKind(*fused, nn::OpKind::kMatMul), 0u) << "seed " << seed;
 
     for (size_t threads : {1u, 2u, 4u}) {
       util::ThreadPool::SetGlobalNumThreads(threads);
-      ExpectPlanMatchesEager(*fused, net, xv, eager,
-                             "seed " + std::to_string(seed) + " threads " +
-                                 std::to_string(threads));
+      ExpectBitwiseEqual(eager, Replay(*fused, {&xv}),
+                         "seed " + std::to_string(seed) + " threads " +
+                             std::to_string(threads));
     }
   }
 }
@@ -496,13 +360,12 @@ TEST(FusionDeterminismTest, RewriteIsDeterministic) {
   util::Rng rng(55);
   Mlp net = MakeMlp({6, 9, 4}, {Act::kRelu, Act::kTanh}, rng);
   nn::Matrix xv = RandomMatrix(2, 6, rng);
-  auto plan = RecordMlpPlan(net, xv, /*training=*/true);
+  auto plan = RecordMlpPlan(net, xv);
   auto a = nn::FuseGraph(*plan);
   auto b = nn::FuseGraph(*plan);
   ASSERT_EQ(a->instrs.size(), b->instrs.size());
   ASSERT_EQ(a->buffers.size(), b->buffers.size());
   EXPECT_EQ(a->arena_floats, b->arena_floats);
-  EXPECT_EQ(a->backward_order, b->backward_order);
   for (size_t i = 0; i < a->instrs.size(); ++i) {
     EXPECT_EQ(a->instrs[i].kind, b->instrs[i].kind) << "instr " << i;
     EXPECT_EQ(a->instrs[i].in, b->instrs[i].in) << "instr " << i;
@@ -518,13 +381,12 @@ TEST(FusionSteadyStateTest, FusedReplayAllocatesNoTensors) {
   util::Rng rng(66);
   Mlp net = MakeMlp({6, 9, 4}, {Act::kRelu, Act::kTanh}, rng);
   nn::Matrix xv = RandomMatrix(2, 6, rng);
-  auto fused = nn::FuseGraph(*RecordMlpPlan(net, xv, /*training=*/true));
+  auto fused = nn::FuseGraph(*RecordMlpPlan(net, xv));
 
   nn::PlanRun run;
   run.inputs.Reset();
   run.inputs.AddDirect(xv.data());
-  nn::PlanExecutor::Forward(*fused, run, /*rng=*/nullptr);
-  nn::PlanExecutor::Backward(*fused, run, 1.0f);
+  nn::PlanExecutor::Forward(*fused, run);
   const size_t arena_capacity = run.arena.size();
 
   obs::Counter* allocs =
@@ -533,12 +395,10 @@ TEST(FusionSteadyStateTest, FusedReplayAllocatesNoTensors) {
   for (int step = 0; step < 20; ++step) {
     run.inputs.Reset();
     run.inputs.AddDirect(xv.data());
-    nn::PlanExecutor::Forward(*fused, run, /*rng=*/nullptr);
-    nn::PlanExecutor::Backward(*fused, run, 1.0f);
+    nn::PlanExecutor::Forward(*fused, run);
   }
   EXPECT_EQ(allocs->Value(), before) << "fused replay must not allocate";
   EXPECT_EQ(run.arena.size(), arena_capacity) << "arena must not regrow";
-  for (Tensor* p : net.Params()) p->ZeroGrad();
 }
 
 }  // namespace

@@ -217,6 +217,17 @@ TEST(ScopedTimerTest, FeedsHistogramAndElapsedOut) {
   EXPECT_GE(elapsed, 0.0);
 }
 
+// NowNanos() is measured from a process epoch that its first call pins.
+// The first read must not run ahead of that epoch and wrap. ctest also runs
+// this test alone (obs_trace_clock_first_read) so that the read below really
+// is the process's first; inside the full suite it still holds.
+TEST(TraceClock, FirstReadIsSmall) {
+  constexpr uint64_t kOneHourNs = 3600ull * 1000 * 1000 * 1000;
+  const uint64_t first = obs::TraceRecorder::NowNanos();
+  EXPECT_LT(first, kOneHourNs);
+  EXPECT_GE(obs::TraceRecorder::NowNanos(), first);
+}
+
 TEST(TraceTest, RecordsSpansAndExportsChromeTrace) {
   obs::TraceRecorder::Start(/*capacity_per_thread=*/64);
   {

@@ -52,7 +52,7 @@ enum class Act { kNone, kRelu, kTanh };
 std::shared_ptr<const nn::Graph> RecordFusedLinear(Tensor& w, Tensor& b,
                                                    const nn::Matrix& xv,
                                                    Act act) {
-  nn::GraphRecorder recorder(/*training=*/false);
+  nn::GraphRecorder recorder;
   Tensor x = Tensor::FromMatrix(xv);
   nn::RecordPlanInput(x);
   Tensor h = nn::AddBroadcastRow(nn::MatMul(x, w), b);
@@ -65,7 +65,7 @@ void BindAndForward(const nn::Graph& graph, nn::PlanRun& run,
                     const nn::Matrix& xv) {
   run.inputs.Reset();
   run.inputs.AddDirect(xv.data());
-  nn::PlanExecutor::Forward(graph, run, /*rng=*/nullptr);
+  nn::PlanExecutor::Forward(graph, run);
 }
 
 // Calibrates the fused graph on `calib` inputs and returns the quantized
@@ -172,7 +172,7 @@ TEST(QuantErrorBoundTest, QuantizedDualLinearWithinAnalyticBound) {
   Tensor b = Tensor::FromMatrix(RandomMatrix(1, m, rng, 0.5), true);
 
   auto record = [&](const nn::Matrix& xv, const nn::Matrix& hv) {
-    nn::GraphRecorder recorder(/*training=*/false);
+    nn::GraphRecorder recorder;
     Tensor x = Tensor::FromMatrix(xv);
     Tensor h = Tensor::FromMatrix(hv);
     nn::RecordPlanInput(x);
@@ -218,11 +218,11 @@ TEST(QuantErrorBoundTest, QuantizedDualLinearWithinAnalyticBound) {
   fp32_run.inputs.Reset();
   fp32_run.inputs.AddDirect(xv.data());
   fp32_run.inputs.AddDirect(hv.data());
-  nn::PlanExecutor::Forward(*fused, fp32_run, /*rng=*/nullptr);
+  nn::PlanExecutor::Forward(*fused, fp32_run);
   int8_run.inputs.Reset();
   int8_run.inputs.AddDirect(xv.data());
   int8_run.inputs.AddDirect(hv.data());
-  nn::PlanExecutor::Forward(*quantized, int8_run, /*rng=*/nullptr);
+  nn::PlanExecutor::Forward(*quantized, int8_run);
   const float* fp32_out = nn::PlanExecutor::OutputData(*fused, fp32_run);
   const float* int8_out = nn::PlanExecutor::OutputData(*quantized, int8_run);
 

@@ -1,6 +1,7 @@
-// Robustness tests for the serving path (DESIGN.md §13): deadlines,
-// cancellation, priority admission, failpoint-injected faults, and
-// zero-downtime model hot-swap via serve::ModelRegistry.
+// Robustness tests for the serving path (DESIGN.md §13): admission-time
+// request validation, deadlines, cancellation, priority admission,
+// failpoint-injected faults, and zero-downtime model hot-swap via
+// serve::ModelRegistry.
 //
 // Fault injection uses util::FailPoint (serve.slow_batch, serve.score_abort,
 // registry.corrupt_load); every test disarms on exit so suites compose.
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "obs/metrics.h"
 #include "serve/judgement_server.h"
 #include "serve/model_registry.h"
+#include "serve/shard_router.h"
 #include "tests/test_common.h"
 #include "util/fail_point.h"
 #include "util/status.h"
@@ -123,6 +126,71 @@ TEST(TieRuleTest, HalfIsCoLocatedAndMatchesOfflineEval) {
   EXPECT_EQ(confusion.tp, 1u);  // The tied pair counts as predicted positive,
   EXPECT_EQ(confusion.fn, 0u);  // exactly like CoLocatedScore(0.5).
   EXPECT_EQ(confusion.tn, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Admission-time validation: malformed requests are rejected with
+// kInvalidArgument instead of CHECK-failing or overflowing the deadline.
+
+// A timeout whose deadline cannot be represented on the steady clock.
+constexpr uint64_t kOverflowingTimeoutUs =
+    std::numeric_limits<uint64_t>::max() / 2;
+
+TEST_F(ServeRobustnessFixture, OutOfRangePriorityIsInvalidArgument) {
+  JudgementServer server(model_);
+  for (int bad : {2, 7, -1}) {
+    auto result = server.Submit(RequestFor(0, 1, static_cast<Priority>(bad)));
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  JudgementServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.admitted, 0u);
+  EXPECT_EQ(stats.rejected, 3u);
+}
+
+TEST_F(ServeRobustnessFixture, OverflowingTimeoutIsInvalidArgument) {
+  JudgementServer server(model_);
+  for (uint64_t bad : {kOverflowingTimeoutUs,
+                       std::numeric_limits<uint64_t>::max(),
+                       static_cast<uint64_t>(
+                           std::numeric_limits<int64_t>::max())}) {
+    auto result =
+        server.Submit(RequestFor(0, 1, Priority::kInteractive, bad));
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(server.stats().admitted, 0u);
+
+  // A long but representable deadline (one day) is still admitted, and the
+  // server keeps serving after the rejections.
+  auto ok = server.Submit(
+      RequestFor(0, 1, Priority::kInteractive, 86'400ull * 1'000'000));
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(std::move(ok).value().future().get().ok());
+  EXPECT_EQ(server.stats().completed, 1u);
+}
+
+TEST_F(ServeRobustnessFixture, RouterRejectsInvalidRequestsPerShard) {
+  RouterOptions options;
+  options.num_shards = 3;
+  ShardRouter router(model_, options);
+  auto bad_priority =
+      router.Submit(RequestFor(0, 1, static_cast<Priority>(5)));
+  ASSERT_FALSE(bad_priority.ok());
+  EXPECT_EQ(bad_priority.status().code(), util::StatusCode::kInvalidArgument);
+  auto bad_timeout = router.Submit(
+      RequestFor(2, 3, Priority::kBatch, kOverflowingTimeoutUs));
+  ASSERT_FALSE(bad_timeout.ok());
+  EXPECT_EQ(bad_timeout.status().code(), util::StatusCode::kInvalidArgument);
+
+  auto good = router.Submit(RequestFor(0, 1));
+  ASSERT_TRUE(good.ok());
+  EXPECT_TRUE(std::move(good).value().future().get().ok());
+  router.Shutdown();
+  JudgementServer::Stats stats = router.stats();
+  EXPECT_EQ(stats.admitted, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.rejected, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -190,11 +190,12 @@ TEST_F(ServeFixture, ServedScoresBitwiseMatchOffline) {
   }
 }
 
-// Planned serving path (config.plan.enabled): a planned fit is bitwise-
-// identical to the eager fit, so scores served through ScorePairPlanned by
-// many concurrent clients must bitwise-match the eager fixture model's
-// offline ScorePair. Racing clients exercise the plan-cache record path and
-// the PlanRun pool under contention (run under TSan by sanitize_smoke.sh).
+// Planned serving path (config.plan.enabled): training always runs the
+// eager tape, so this model fits to the fixture's parameters, and scores
+// served through ScorePairPlanned by many concurrent clients must
+// bitwise-match the eager fixture model's offline ScorePair. Racing clients
+// exercise the plan-cache record path and the PlanRun pool under contention
+// (run under TSan by sanitize_smoke.sh).
 TEST_F(ServeFixture, PlannedServingBitwiseMatchesEagerOffline) {
   core::HisRectModelConfig config = FastConfig();
   config.plan.enabled = true;
@@ -242,8 +243,9 @@ TEST_F(ServeFixture, PlannedServingBitwiseMatchesEagerOffline) {
 
 // Fused serving path (config.plan.fuse): the GraphOptimizer rewrite keeps
 // the same bitwise contract as the plain plan — a JudgementServer on a
-// fused fp32 plan must serve scores bitwise-identical to the eager fixture
-// model's offline ScorePair, under racing clients (TSan leg of
+// fused fp32 plan (fitted on the eager tape, like every model) must serve
+// scores bitwise-identical to the eager fixture model's offline ScorePair,
+// under racing clients (TSan leg of
 // sanitize_smoke.sh runs this under the `fusion` label).
 TEST_F(ServeFixture, FusedPlannedServingBitwiseMatchesEagerOffline) {
   core::HisRectModelConfig config = FastConfig();

@@ -55,8 +55,9 @@ Checks (any subset, per the flags given):
   --expect-plan            with --metrics: require the recorded-plan series
                            (hisrect.nn.tensor_allocs, hisrect.nn.arena_bytes,
                            hisrect.nn.plan_cache_{hits,misses}) with cache
-                           hits > 0 and misses > 0 (all three cache sites —
-                           SSL, judge, scoring — export both counters).
+                           hits > 0 and misses > 0 (the scoring plan cache,
+                           the only cache site — training runs eager — exports
+                           both counters).
 
 Exits 0 when every requested check passes, 1 otherwise (messages on stderr).
 Used by tools/run_benches.sh as the `obs` and `serving` gates.

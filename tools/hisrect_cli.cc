@@ -3,7 +3,8 @@
 //   hisrect_cli stats  [--preset nyc|lv] [--scale S] [--seed N]
 //   hisrect_cli train  [--preset ...] [--ssl-steps N] [--judge-steps N]
 //                      [--threads N] [--shards N] [--pipeline-shards N]
-//                      [--plan] [--checkpoint-dir DIR] [--checkpoint-every N]
+//                      [--plan] [--fuse] [--int8]
+//                      [--checkpoint-dir DIR] [--checkpoint-every N]
 //                      [--keep-last N] [--resume] [--out model.bin]
 //   hisrect_cli eval   [--preset ...] [--threads N] [--model model.bin]
 //                      (fit if no model)
@@ -15,12 +16,12 @@
 // shard count but never on the thread count. `--pipeline-shards` shards the
 // pre-training passes (profile encoding, SSL graph build); unlike --shards
 // it is performance-only: those outputs are byte-identical at any value.
-// `--plan` runs training and scoring through the recorded-plan replay path
+// `--plan` makes `eval` score through the recorded-plan replay path
 // (nn/plan_executor.h): zero steady-state tensor allocations,
-// bitwise-identical results — see DESIGN.md §11. `--fuse` adds the
-// GraphOptimizer fusion pass (still bitwise-identical, DESIGN.md §12);
-// `--int8` additionally scores/evals through calibrated int8 fused-linear
-// kernels (AUC-gated, not bitwise; training stays fp32).
+// bitwise-identical scores — see DESIGN.md §11. `--fuse` adds
+// the GraphOptimizer fusion pass (still bitwise-identical, DESIGN.md §12);
+// `--int8` scores through calibrated int8 fused-linear kernels (AUC-gated,
+// not bitwise). Training always runs the eager tape.
 //
 // Fault tolerance: `--checkpoint-dir` + `--checkpoint-every` write periodic
 // HRCT2 checkpoints of the full trainer state; a re-run with `--resume`
@@ -79,13 +80,14 @@ struct CliOptions {
   size_t checkpoint_every = 0;
   size_t keep_last = 3;
   bool resume = false;
-  /// Recorded-plan execution for training + scoring (see nn/plan_executor.h).
+  /// Recorded-plan scoring (see nn/plan_executor.h); training always runs
+  /// the eager tape.
   bool plan = false;
-  /// GraphOptimizer kernel fusion on recorded plans (bitwise-identical;
-  /// applies to training and scoring). Implies --plan.
+  /// GraphOptimizer kernel fusion on the scoring plans (bitwise-identical).
+  /// Implies --plan.
   bool fuse = false;
-  /// Calibrated int8 fused-linear kernels for scoring/eval only — trainers
-  /// always run fp32. Implies --fuse and --plan.
+  /// Calibrated int8 fused-linear kernels for scoring. Implies --fuse and
+  /// --plan.
   bool int8 = false;
   /// Fail-point spec armed before running (testing/drills).
   std::string failpoints;
@@ -102,6 +104,8 @@ int Usage() {
                "                   [--ssl-steps N] [--judge-steps N] "
                "[--threads N] [--shards N]\n"
                "                   [--pipeline-shards N] [--plan] [--fuse] [--int8]\n"
+               "                   (--plan/--fuse/--int8 select the scoring "
+               "path; training is eager)\n"
                "                   [--checkpoint-dir DIR] "
                "[--checkpoint-every N] [--keep-last N] [--resume]\n"
                "                   [--failpoints SPEC]\n"

@@ -45,9 +45,11 @@
 // "draining" when the graceful shutdown begins. Successful SIGHUP reloads
 // increment `hisrect.serve.reloads`.
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -150,6 +152,30 @@ int Invalid(const std::string& message) {
   return Usage();
 }
 
+/// Parses a --deadline-ms value: a non-negative integer whose deadline, in
+/// steady-clock nanoseconds, is representable. Anything else — negative,
+/// non-numeric, trailing junk, or large enough that `ms * 1000` microseconds
+/// overflows the clock — is rejected with a message.
+bool ParseDeadlineMs(const char* text, uint64_t* out) {
+  constexpr long long kMaxDeadlineMs =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::duration::max())
+          .count();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < 0 ||
+      value > kMaxDeadlineMs) {
+    std::fprintf(stderr,
+                 "hisrect_serve: --deadline-ms must be an integer in [0, "
+                 "%lld], got '%s'\n",
+                 kMaxDeadlineMs, text);
+    return false;
+  }
+  *out = static_cast<uint64_t>(value);
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, ServeCliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -201,7 +227,7 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions& options) {
       options.requests = static_cast<size_t>(std::atoll(v));
     } else if (arg == "--deadline-ms") {
       if ((v = next()) == nullptr) return false;
-      options.deadline_ms = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseDeadlineMs(v, &options.deadline_ms)) return false;
     } else if (arg == "--priority") {
       if ((v = next()) == nullptr) return false;
       options.priority = v;

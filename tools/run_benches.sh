@@ -3,9 +3,8 @@
 # gate, then runs the micro-inference, serving, and parallel throughput
 # benches and diffs bench_out/BENCH_parallel.json against the
 # previous run. Exits non-zero when best-thread-count throughput (steps/sec
-# or pairs/sec) regressed by more than 20%, when the determinism check
-# inside bench_training_throughput failed, or when the recorded-plan path
-# broke its contract (zero steady-state allocations, bitwise-equal to eager).
+# or pairs/sec) regressed by more than 20%, or when the determinism check
+# inside bench_training_throughput failed.
 #
 # Knobs:
 #   BUILD_DIR          build tree to use        (default: build-release)
@@ -28,16 +27,19 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # rollback) must also be green before numbers are recorded.
 (cd "$BUILD_DIR" && ctest -L robustness --output-on-failure)
 
-# Observability gate: obs unit tests, then a small CLI training run with all
-# three telemetry surfaces enabled, validated by check_telemetry.py (schema,
-# monotonic span timestamps, zero dropped events). Guards against the
-# telemetry subsystem silently rotting while the flags stay off by default.
-# The run goes through --plan, so the metrics scrape must also carry the
-# recorded-plan series (tensor_allocs / arena_bytes / plan_cache_hits).
+# Observability gate: obs unit tests, then a small CLI train-then-eval run
+# with all three telemetry surfaces enabled, validated by check_telemetry.py
+# (schema, monotonic span timestamps, zero dropped events). Guards against
+# the telemetry subsystem silently rotting while the flags stay off by
+# default. The run goes through --plan, so its test-split scoring must leave
+# the recorded-plan series (tensor_allocs / arena_bytes / plan_cache_hits)
+# in the metrics scrape. Scoring is the only plan-cache site — training
+# always runs the eager tape — so the smoke runs `eval` (which fits first)
+# rather than `train`.
 (cd "$BUILD_DIR" && ctest -L obs --output-on-failure)
 obs_dir="$OUT_DIR/obs_smoke"
 mkdir -p "$obs_dir"
-"$BUILD_DIR/tools/hisrect_cli" train --preset nyc --scale 0.1 --seed 7 \
+"$BUILD_DIR/tools/hisrect_cli" eval --preset nyc --scale 0.1 --seed 7 \
   --ssl-steps 60 --judge-steps 40 --plan \
   --trace-out "$obs_dir/trace.json" \
   --telemetry-out "$obs_dir/telemetry.jsonl" \
@@ -264,33 +266,6 @@ fi
 "$BUILD_DIR/bench/bench_micro_inference" --benchmark_min_time=0.2 \
   | tee "$OUT_DIR/micro_inference.txt"
 HISRECT_BENCH_OUT="$OUT_DIR" "$BUILD_DIR/bench/bench_training_throughput"
-
-# Recorded-plan gate: the planned training path must do zero steady-state
-# tensor allocations after prewarm and match the eager run bitwise. The
-# bench exit code already enforces this; re-assert from the JSON so a future
-# bench refactor cannot silently drop the check.
-python3 - "$OUT_DIR/BENCH_parallel.json" <<'EOF'
-import json
-import sys
-
-doc = json.load(open(sys.argv[1]))
-plan = doc.get("plan")
-if plan is None:
-    print("run_benches: BENCH_parallel.json has no 'plan' record")
-    sys.exit(1)
-failed = False
-for key in ("ssl_steady_tensor_allocs", "judge_steady_tensor_allocs"):
-    if plan.get(key) != 0:
-        print(f"run_benches: planned path {key} = {plan.get(key)}; want 0")
-        failed = True
-if plan.get("matches_eager") is not True:
-    print("run_benches: planned path losses/scores differ from eager")
-    failed = True
-if failed:
-    sys.exit(1)
-print(f"run_benches: plan OK — 0 steady-state allocs, arena "
-      f"{plan.get('arena_high_water_bytes')} B, bitwise-equal to eager")
-EOF
 
 if [ ! -f "$previous" ]; then
   echo "run_benches: no previous BENCH_parallel.json — baseline recorded."

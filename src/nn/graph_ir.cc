@@ -21,369 +21,287 @@
 
 namespace hisrect::nn {
 
-float* ExecState::Ptr(int32_t buffer_id) const {
-  const BufferDesc& b = graph->buffers[buffer_id];
-  switch (b.kind) {
-    case BufferDesc::Kind::kArena:
-    case BufferDesc::Kind::kAux:
-      return arena + b.offset;
-    case BufferDesc::Kind::kParamValue:
-      return graph->params[b.ref]->value.data();
-    case BufferDesc::Kind::kInput:
-      return const_cast<float*>((*inputs)[b.ref]);
-    case BufferDesc::Kind::kConstant:
-      return const_cast<float*>(graph->constants.data() + b.ref);
-  }
-  CHECK(false) << "unreachable buffer kind";
-  return nullptr;
-}
-
-// Every kernel below mirrors the corresponding tape op in ops.cc: identical
-// per-element expressions, identical loop order, identical float/double
-// accumulator widths. A copy-then-update in the eager op (e.g. `out = a;
-// out.AddScaled(b, -1)`) becomes the algebraically-literal single pass here;
-// with one add/mul sequence per element either way (and -ffp-contract=off
-// tree-wide) the results are bitwise equal. Do not "simplify" expressions —
-// `a + (-1.0f) * b` is spelled that way because AddScaled spells it that
-// way.
+// Each kind is one shape function plus one kernel. Shape functions validate
+// the operand count too, and compare in 64 bits, so no attribute can wrap a
+// bound. Kernels overwrite `out` in full. Loop order and accumulator widths
+// are part of each kernel's contract (float/double as written; matmuls go
+// through the blocked kernels in matrix.h): training, the goldens and every
+// plan replay read these exact bits.
 namespace {
 
-inline const BufferDesc& Buf(const Graph& g, int32_t id) {
-  return g.buffers[id];
-}
+using Shape = std::optional<Dims>;
 
-inline std::pair<uint32_t, uint32_t> Shape(const Instr& ins,
-                                           const std::vector<BufferDesc>& bufs,
-                                           size_t operand) {
-  const BufferDesc& b = bufs[ins.in[operand]];
-  return {b.rows, b.cols};
-}
-
-constexpr std::pair<uint32_t, uint32_t> kBadShape{0, 0};
+bool Unary(const KernelArgs& k) { return k.num_in == 1; }
+bool Binary(const KernelArgs& k) { return k.num_in == 2; }
 
 // ---------------------------------------------------------------------------
 // kMatMul
 
-std::pair<uint32_t, uint32_t> MatMulShape(const Instr& ins,
-                                          const std::vector<BufferDesc>& bufs) {
-  auto [ar, ac] = Shape(ins, bufs, 0);
-  auto [br, bc] = Shape(ins, bufs, 1);
-  if (ac != br) return kBadShape;
-  return {ar, bc};
+Shape MatMulShape(const KernelArgs& k) {
+  if (!Binary(k) || k.in[0].cols != k.in[1].rows) return std::nullopt;
+  return Dims{k.in[0].rows, k.in[1].cols};
 }
 
-void MatMulForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const BufferDesc& a = Buf(g, ins.in[0]);
-  const BufferDesc& b = Buf(g, ins.in[1]);
-  MatMulInto(st.Ptr(ins.in[0]), a.rows, a.cols, st.Ptr(ins.in[1]), b.cols,
-             st.Ptr(ins.out));
+void MatMulForward(const KernelArgs& k) {
+  MatMulInto(k.in[0].data, k.in[0].rows, k.in[0].cols, k.in[1].data,
+             k.in[1].cols, k.out);
 }
 
 // ---------------------------------------------------------------------------
 // Elementwise binary: kAdd, kSub, kMul
 
-std::pair<uint32_t, uint32_t> SameShape2(const Instr& ins,
-                                         const std::vector<BufferDesc>& bufs) {
-  auto a = Shape(ins, bufs, 0);
-  if (a != Shape(ins, bufs, 1)) return kBadShape;
-  return a;
-}
-
-void AddForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* a = st.Ptr(ins.in[0]);
-  const float* b = st.Ptr(ins.in[1]);
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-void SubForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* a = st.Ptr(ins.in[0]);
-  const float* b = st.Ptr(ins.in[1]);
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) {
-    float acc = a[i];
-    acc += -1.0f * b[i];
-    out[i] = acc;
+Shape SameShape2(const KernelArgs& k) {
+  if (!Binary(k) || k.in[0].rows != k.in[1].rows ||
+      k.in[0].cols != k.in[1].cols) {
+    return std::nullopt;
   }
+  return Dims{k.in[0].rows, k.in[0].cols};
 }
 
-void MulForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* a = st.Ptr(ins.in[0]);
-  const float* b = st.Ptr(ins.in[1]);
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
+// out[i] = f(a[i], b[i]).
+template <typename F>
+void Zip(const KernelArgs& k, F f) {
+  const float* a = k.in[0].data;
+  const float* b = k.in[1].data;
+  const size_t n = k.out_dims.size();
+  for (size_t i = 0; i < n; ++i) k.out[i] = f(a[i], b[i]);
+}
+
+void AddForward(const KernelArgs& k) {
+  Zip(k, [](float a, float b) { return a + b; });
+}
+void SubForward(const KernelArgs& k) {
+  Zip(k, [](float a, float b) { return a - b; });
+}
+void MulForward(const KernelArgs& k) {
+  Zip(k, [](float a, float b) { return a * b; });
 }
 
 // ---------------------------------------------------------------------------
 // kAddBroadcastRow, kMulBroadcastRow
 
-std::pair<uint32_t, uint32_t> BroadcastRowShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [xr, xc] = Shape(ins, bufs, 0);
-  auto [rr, rc] = Shape(ins, bufs, 1);
-  if (rr != 1 || xc != rc) return kBadShape;
-  return {xr, xc};
+Shape BroadcastRowShape(const KernelArgs& k) {
+  if (!Binary(k) || k.in[1].rows != 1 || k.in[0].cols != k.in[1].cols) {
+    return std::nullopt;
+  }
+  return Dims{k.in[0].rows, k.in[0].cols};
 }
 
-void AddBroadcastRowForward(const Graph& g, const Instr& ins,
-                            const ExecState& st) {
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const float* xv = st.Ptr(ins.in[0]);
-  const float* r = st.Ptr(ins.in[1]);
-  float* out = st.Ptr(ins.out);
+// out[i][j] = f(x[i][j], row[j]).
+template <typename F>
+void BroadcastRow(const KernelArgs& k, F f) {
+  const Operand& x = k.in[0];
+  const float* r = k.in[1].data;
   for (size_t i = 0; i < x.rows; ++i) {
-    const float* x_row = xv + i * x.cols;
-    float* out_row = out + i * x.cols;
-    for (size_t j = 0; j < x.cols; ++j) out_row[j] = x_row[j] + r[j];
+    const float* x_row = x.data + i * x.cols;
+    float* out_row = k.out + i * x.cols;
+    for (size_t j = 0; j < x.cols; ++j) out_row[j] = f(x_row[j], r[j]);
   }
 }
 
-void MulBroadcastRowForward(const Graph& g, const Instr& ins,
-                            const ExecState& st) {
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const float* xv = st.Ptr(ins.in[0]);
-  const float* r = st.Ptr(ins.in[1]);
-  float* out = st.Ptr(ins.out);
-  for (size_t i = 0; i < x.rows; ++i) {
-    const float* x_row = xv + i * x.cols;
-    float* out_row = out + i * x.cols;
-    for (size_t j = 0; j < x.cols; ++j) out_row[j] = x_row[j] * r[j];
-  }
+void AddBroadcastRowForward(const KernelArgs& k) {
+  BroadcastRow(k, [](float x, float r) { return x + r; });
+}
+void MulBroadcastRowForward(const KernelArgs& k) {
+  BroadcastRow(k, [](float x, float r) { return x * r; });
 }
 
 // ---------------------------------------------------------------------------
 // Elementwise unary: kScale, kRelu, kTanh, kSigmoid, kAbs
 
-std::pair<uint32_t, uint32_t> SameShape1(const Instr& ins,
-                                         const std::vector<BufferDesc>& bufs) {
-  return Shape(ins, bufs, 0);
+Shape SameShape1(const KernelArgs& k) {
+  if (!Unary(k)) return std::nullopt;
+  return Dims{k.in[0].rows, k.in[0].cols};
 }
 
-void ScaleForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* x = st.Ptr(ins.in[0]);
-  float* out = st.Ptr(ins.out);
-  const float s = ins.fattr;
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) out[i] = x[i] * s;
+// out[i] = f(x[i]).
+template <typename F>
+void Map(const KernelArgs& k, F f) {
+  const float* x = k.in[0].data;
+  const size_t n = k.out_dims.size();
+  for (size_t i = 0; i < n; ++i) k.out[i] = f(x[i]);
 }
 
-void ReluForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* x = st.Ptr(ins.in[0]);
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) out[i] = std::max(0.0f, x[i]);
+void ScaleForward(const KernelArgs& k) {
+  const float s = k.fattr;
+  Map(k, [s](float x) { return x * s; });
 }
-
-void TanhForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* x = st.Ptr(ins.in[0]);
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) out[i] = std::tanh(x[i]);
+void ReluForward(const KernelArgs& k) {
+  Map(k, [](float x) { return std::max(0.0f, x); });
 }
-
-void SigmoidForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* x = st.Ptr(ins.in[0]);
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) out[i] = SigmoidValue(x[i]);
+void TanhForward(const KernelArgs& k) {
+  Map(k, [](float x) { return std::tanh(x); });
 }
-
-void AbsForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* x = st.Ptr(ins.in[0]);
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.out).size();
-  for (size_t i = 0; i < n; ++i) out[i] = std::fabs(x[i]);
+void SigmoidForward(const KernelArgs& k) { Map(k, SigmoidValue); }
+void AbsForward(const KernelArgs& k) {
+  Map(k, [](float x) { return std::fabs(x); });
 }
 
 // ---------------------------------------------------------------------------
 // kConcatCols, kSliceCols, kSliceRows, kRowStack
 
-std::pair<uint32_t, uint32_t> ConcatColsShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [ar, ac] = Shape(ins, bufs, 0);
-  auto [br, bc] = Shape(ins, bufs, 1);
-  if (ar != br) return kBadShape;
-  return {ar, ac + bc};
+Shape ConcatColsShape(const KernelArgs& k) {
+  if (!Binary(k) || k.in[0].rows != k.in[1].rows) return std::nullopt;
+  return Dims{k.in[0].rows, k.in[0].cols + k.in[1].cols};
 }
 
-void ConcatColsForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const BufferDesc& a = Buf(g, ins.in[0]);
-  const BufferDesc& b = Buf(g, ins.in[1]);
-  const float* av = st.Ptr(ins.in[0]);
-  const float* bv = st.Ptr(ins.in[1]);
-  float* out = st.Ptr(ins.out);
-  const size_t na = a.cols;
-  const size_t nb = b.cols;
+void ConcatColsForward(const KernelArgs& k) {
+  const Operand& a = k.in[0];
+  const Operand& b = k.in[1];
   for (size_t i = 0; i < a.rows; ++i) {
-    const float* a_row = av + i * na;
-    const float* b_row = bv + i * nb;
-    float* out_row = out + i * (na + nb);
-    std::copy(a_row, a_row + na, out_row);
-    std::copy(b_row, b_row + nb, out_row + na);
+    const float* a_row = a.data + i * a.cols;
+    const float* b_row = b.data + i * b.cols;
+    float* out_row = k.out + i * (a.cols + b.cols);
+    std::copy(a_row, a_row + a.cols, out_row);
+    std::copy(b_row, b_row + b.cols, out_row + a.cols);
   }
 }
 
-std::pair<uint32_t, uint32_t> SliceColsShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [xr, xc] = Shape(ins, bufs, 0);
-  if (static_cast<uint32_t>(ins.iattr0 + ins.iattr1) > xc) return kBadShape;
-  return {xr, static_cast<uint32_t>(ins.iattr1)};
+// [start, start + count) within [0, extent), with start = iattr0 and
+// count = iattr1; written so that no value of either attribute can wrap.
+bool SliceInRange(const KernelArgs& k, size_t extent) {
+  return k.iattr0 >= 0 && k.iattr1 >= 0 &&
+         static_cast<uint64_t>(k.iattr0) <= extent &&
+         static_cast<uint64_t>(k.iattr1) <=
+             extent - static_cast<uint64_t>(k.iattr0);
 }
 
-void SliceColsForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const float* xv = st.Ptr(ins.in[0]);
-  float* out = st.Ptr(ins.out);
-  const size_t start = static_cast<size_t>(ins.iattr0);
-  const size_t count = static_cast<size_t>(ins.iattr1);
+Shape SliceColsShape(const KernelArgs& k) {
+  if (!Unary(k) || !SliceInRange(k, k.in[0].cols)) return std::nullopt;
+  return Dims{k.in[0].rows, static_cast<size_t>(k.iattr1)};
+}
+
+void SliceColsForward(const KernelArgs& k) {
+  const Operand& x = k.in[0];
+  const size_t start = static_cast<size_t>(k.iattr0);
+  const size_t count = static_cast<size_t>(k.iattr1);
   for (size_t i = 0; i < x.rows; ++i) {
-    const float* src = xv + i * x.cols + start;
-    std::copy(src, src + count, out + i * count);
+    const float* src = x.data + i * x.cols + start;
+    std::copy(src, src + count, k.out + i * count);
   }
 }
 
-std::pair<uint32_t, uint32_t> SliceRowsShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [xr, xc] = Shape(ins, bufs, 0);
-  if (static_cast<uint32_t>(ins.iattr0 + ins.iattr1) > xr) return kBadShape;
-  return {static_cast<uint32_t>(ins.iattr1), xc};
+Shape SliceRowsShape(const KernelArgs& k) {
+  if (!Unary(k) || !SliceInRange(k, k.in[0].rows)) return std::nullopt;
+  return Dims{static_cast<size_t>(k.iattr1), k.in[0].cols};
 }
 
-void SliceRowsForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const float* xv = st.Ptr(ins.in[0]);
-  float* out = st.Ptr(ins.out);
-  const size_t start = static_cast<size_t>(ins.iattr0);
-  const size_t count = static_cast<size_t>(ins.iattr1);
-  std::copy(xv + start * x.cols, xv + (start + count) * x.cols, out);
+void SliceRowsForward(const KernelArgs& k) {
+  const Operand& x = k.in[0];
+  const size_t start = static_cast<size_t>(k.iattr0);
+  const size_t count = static_cast<size_t>(k.iattr1);
+  std::copy(x.data + start * x.cols, x.data + (start + count) * x.cols,
+            k.out);
 }
 
-std::pair<uint32_t, uint32_t> RowStackShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [r0, c0] = Shape(ins, bufs, 0);
-  if (r0 != 1) return kBadShape;
-  for (size_t i = 1; i < ins.in.size(); ++i) {
-    auto [ri, ci] = Shape(ins, bufs, i);
-    if (ri != 1 || ci != c0) return kBadShape;
+Shape RowStackShape(const KernelArgs& k) {
+  if (k.num_in == 0) return std::nullopt;
+  for (size_t i = 0; i < k.num_in; ++i) {
+    if (k.in[i].rows != 1 || k.in[i].cols != k.in[0].cols) {
+      return std::nullopt;
+    }
   }
-  return {static_cast<uint32_t>(ins.in.size()), c0};
+  return Dims{k.num_in, k.in[0].cols};
 }
 
-void RowStackForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  float* out = st.Ptr(ins.out);
-  const size_t cols = Buf(g, ins.out).cols;
-  for (size_t i = 0; i < ins.in.size(); ++i) {
-    const float* row = st.Ptr(ins.in[i]);
-    std::copy(row, row + cols, out + i * cols);
+void RowStackForward(const KernelArgs& k) {
+  const size_t cols = k.out_dims.cols;
+  for (size_t i = 0; i < k.num_in; ++i) {
+    const float* row = k.in[i].data;
+    std::copy(row, row + cols, k.out + i * cols);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Reductions: kMeanRows, kSumAll, kL2NormalizeRow, kDot
 
-std::pair<uint32_t, uint32_t> MeanRowsShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [xr, xc] = Shape(ins, bufs, 0);
-  (void)xr;
-  return {1, xc};
+Shape MeanRowsShape(const KernelArgs& k) {
+  if (!Unary(k)) return std::nullopt;
+  return Dims{1, k.in[0].cols};
 }
 
-void MeanRowsForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const float* xv = st.Ptr(ins.in[0]);
-  float* out = st.Ptr(ins.out);
-  const size_t rows = x.rows;
-  const size_t cols = x.cols;
-  // The eager op accumulates a double sums[cols] vector row by row; each
-  // column's sum still sees its terms in ascending-row order, so summing one
-  // column at a time here is bitwise identical — and needs no temp vector
-  // (which would be a steady-state allocation).
-  double inv_d = 1.0 / static_cast<double>(rows);
-  for (size_t j = 0; j < cols; ++j) {
+void MeanRowsForward(const KernelArgs& k) {
+  const Operand& x = k.in[0];
+  // One column at a time, terms in ascending-row order, double accumulator;
+  // no temp vector, so replays stay allocation-free.
+  double inv_d = 1.0 / static_cast<double>(x.rows);
+  for (size_t j = 0; j < x.cols; ++j) {
     double sum = 0.0;
-    for (size_t i = 0; i < rows; ++i) sum += xv[i * cols + j];
-    out[j] = static_cast<float>(sum * inv_d);
+    for (size_t i = 0; i < x.rows; ++i) sum += x.data[i * x.cols + j];
+    k.out[j] = static_cast<float>(sum * inv_d);
   }
 }
 
-std::pair<uint32_t, uint32_t> ScalarShape(const Instr& ins,
-                                          const std::vector<BufferDesc>& bufs) {
-  (void)ins;
-  (void)bufs;
-  return {1, 1};
+Shape SumAllShape(const KernelArgs& k) {
+  if (!Unary(k)) return std::nullopt;
+  return Dims{1, 1};
 }
 
-void SumAllForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* xv = st.Ptr(ins.in[0]);
-  const size_t n = Buf(g, ins.in[0]).size();
+void SumAllForward(const KernelArgs& k) {
+  const float* xv = k.in[0].data;
+  const size_t n = k.in[0].size();
   double total = 0.0;
   for (size_t i = 0; i < n; ++i) total += xv[i];
-  st.Ptr(ins.out)[0] = static_cast<float>(total);
+  k.out[0] = static_cast<float>(total);
 }
 
-std::pair<uint32_t, uint32_t> L2NormalizeRowShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [xr, xc] = Shape(ins, bufs, 0);
-  if (xr != 1) return kBadShape;
-  return {1, xc};
+Shape L2NormalizeRowShape(const KernelArgs& k) {
+  if (!Unary(k) || k.in[0].rows != 1) return std::nullopt;
+  return Dims{1, k.in[0].cols};
 }
 
-void L2NormalizeRowForward(const Graph& g, const Instr& ins,
-                           const ExecState& st) {
-  const float* v = st.Ptr(ins.in[0]);
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.in[0]).size();
-  constexpr float kEps = 1e-6f;
-  double norm_sq = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    norm_sq += static_cast<double>(v[i]) * v[i];
+void L2NormalizeRowForward(const KernelArgs& k) {
+  const float* v = k.in[0].data;
+  const size_t n = k.in[0].size();
+  const float inv = InverseSmoothedNorm(v, n);
+  for (size_t i = 0; i < n; ++i) k.out[i] = v[i] * inv;
+}
+
+Shape DotShape(const KernelArgs& k) {
+  if (!Binary(k) || k.in[0].rows != 1 || k.in[1].rows != 1 ||
+      k.in[0].cols != k.in[1].cols) {
+    return std::nullopt;
   }
-  float norm = static_cast<float>(std::sqrt(norm_sq + kEps));
-  float inv = 1.0f / norm;
-  for (size_t i = 0; i < n; ++i) out[i] = v[i] * inv;
+  return Dims{1, 1};
 }
 
-void DotForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* a = st.Ptr(ins.in[0]);
-  const float* b = st.Ptr(ins.in[1]);
-  const size_t n = Buf(g, ins.in[0]).size();
+void DotForward(const KernelArgs& k) {
+  const float* a = k.in[0].data;
+  const float* b = k.in[1].data;
+  const size_t n = k.in[0].size();
   double acc = 0.0;
   for (size_t i = 0; i < n; ++i) {
     acc += static_cast<double>(a[i]) * b[i];
   }
-  st.Ptr(ins.out)[0] = static_cast<float>(acc);
+  k.out[0] = static_cast<float>(acc);
 }
 
 // ---------------------------------------------------------------------------
 // kConv1dSame
 
-std::pair<uint32_t, uint32_t> Conv1dSameShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [xr, xc] = Shape(ins, bufs, 0);
-  auto [kr, kc] = Shape(ins, bufs, 1);
-  if (xr != 1 || kr != 1 || kc % 2 != 1) return kBadShape;
-  return {1, xc};
+Shape Conv1dSameShape(const KernelArgs& k) {
+  if (!Binary(k) || k.in[0].rows != 1 || k.in[1].rows != 1 ||
+      k.in[1].cols % 2 != 1) {
+    return std::nullopt;
+  }
+  return Dims{1, k.in[0].cols};
 }
 
-void Conv1dSameForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  const float* xv = st.Ptr(ins.in[0]);
-  const float* kv = st.Ptr(ins.in[1]);
-  float* out = st.Ptr(ins.out);
-  const size_t n = Buf(g, ins.in[0]).cols;
-  const size_t k = Buf(g, ins.in[1]).cols;
-  const size_t half = k / 2;
+void Conv1dSameForward(const KernelArgs& k) {
+  const float* xv = k.in[0].data;
+  const float* kv = k.in[1].data;
+  const size_t n = k.in[0].cols;
+  const size_t width = k.in[1].cols;
+  const size_t half = width / 2;
   for (size_t j = 0; j < n; ++j) {
     float acc = 0.0f;
-    for (size_t d = 0; d < k; ++d) {
+    for (size_t d = 0; d < width; ++d) {
       int64_t idx = static_cast<int64_t>(j) + static_cast<int64_t>(d) -
                     static_cast<int64_t>(half);
       if (idx < 0 || idx >= static_cast<int64_t>(n)) continue;
       acc += kv[d] * xv[idx];
     }
-    out[j] = acc;
+    k.out[j] = acc;
   }
 }
 
@@ -398,29 +316,18 @@ void Conv1dSameForward(const Graph& g, const Instr& ins, const ExecState& st) {
 
 enum class FusedAct : uint8_t { kNone, kRelu, kTanh };
 
-std::pair<uint32_t, uint32_t> FusedLinearShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [xr, xc] = Shape(ins, bufs, 0);
-  auto [wr, wc] = Shape(ins, bufs, 1);
-  auto [br, bc] = Shape(ins, bufs, 2);
-  if (xc != wr || br != 1 || bc != wc) return kBadShape;
-  return {xr, wc};
+Shape FusedLinearShape(const KernelArgs& k) {
+  if (k.num_in != 3) return std::nullopt;
+  const Operand& x = k.in[0];
+  const Operand& w = k.in[1];
+  const Operand& b = k.in[2];
+  if (x.cols != w.rows || b.rows != 1 || b.cols != w.cols) {
+    return std::nullopt;
+  }
+  return Dims{x.rows, w.cols};
 }
 
-void FusedLinearForwardImpl(const Graph& g, const Instr& ins,
-                            const ExecState& st, FusedAct act) {
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const BufferDesc& w = Buf(g, ins.in[1]);
-  const BufferDesc& out = Buf(g, ins.out);
-  float* o = st.Ptr(ins.out);
-  MatMulInto(st.Ptr(ins.in[0]), x.rows, x.cols, st.Ptr(ins.in[1]), w.cols,
-             o);
-  const float* bias = st.Ptr(ins.in[2]);
-  for (size_t i = 0; i < out.rows; ++i) {
-    float* row = o + i * out.cols;
-    for (size_t j = 0; j < out.cols; ++j) row[j] = row[j] + bias[j];
-  }
-  const size_t n = out.size();
+void ApplyActivation(float* o, size_t n, FusedAct act) {
   switch (act) {
     case FusedAct::kNone:
       break;
@@ -433,16 +340,27 @@ void FusedLinearForwardImpl(const Graph& g, const Instr& ins,
   }
 }
 
-void FusedLinearForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  FusedLinearForwardImpl(g, ins, st, FusedAct::kNone);
+void FusedLinearForwardImpl(const KernelArgs& k, FusedAct act) {
+  const Operand& x = k.in[0];
+  const Dims& out = k.out_dims;
+  float* o = k.out;
+  MatMulInto(x.data, x.rows, x.cols, k.in[1].data, k.in[1].cols, o);
+  const float* bias = k.in[2].data;
+  for (size_t i = 0; i < out.rows; ++i) {
+    float* row = o + i * out.cols;
+    for (size_t j = 0; j < out.cols; ++j) row[j] = row[j] + bias[j];
+  }
+  ApplyActivation(o, out.size(), act);
 }
-void FusedLinearReluForward(const Graph& g, const Instr& ins,
-                            const ExecState& st) {
-  FusedLinearForwardImpl(g, ins, st, FusedAct::kRelu);
+
+void FusedLinearForward(const KernelArgs& k) {
+  FusedLinearForwardImpl(k, FusedAct::kNone);
 }
-void FusedLinearTanhForward(const Graph& g, const Instr& ins,
-                            const ExecState& st) {
-  FusedLinearForwardImpl(g, ins, st, FusedAct::kTanh);
+void FusedLinearReluForward(const KernelArgs& k) {
+  FusedLinearForwardImpl(k, FusedAct::kRelu);
+}
+void FusedLinearTanhForward(const KernelArgs& k) {
+  FusedLinearForwardImpl(k, FusedAct::kTanh);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,37 +368,33 @@ void FusedLinearTanhForward(const Graph& g, const Instr& ins,
 //
 // LSTM-gate preactivation AddBroadcastRow(Add(MatMul(x, W), MatMul(h, U)), b)
 // collapsed to one instr (in = [x, h, W, U, bias]). Both matmuls go through
-// the same MatMulInto kernel the eager chain uses — x@W lands in the output
-// buffer, h@U in aux — and the epilogue reassociates nothing: (t1 + t2) + b_j
-// is exactly the eager Add followed by AddBroadcastRow, so the fused op is
-// bitwise.
+// the same MatMulInto kernel kMatMul uses — x@W lands in the output buffer,
+// h@U in aux — and the epilogue reassociates nothing: (t1 + t2) + b_j is
+// exactly kAdd followed by kAddBroadcastRow, so the fused op is bitwise.
 
-std::pair<uint32_t, uint32_t> FusedDualLinearShape(
-    const Instr& ins, const std::vector<BufferDesc>& bufs) {
-  auto [xr, xc] = Shape(ins, bufs, 0);
-  auto [hr, hc] = Shape(ins, bufs, 1);
-  auto [wr, wc] = Shape(ins, bufs, 2);
-  auto [ur, uc] = Shape(ins, bufs, 3);
-  auto [br, bc] = Shape(ins, bufs, 4);
-  if (xr != hr || xc != wr || hc != ur || wc != uc) return kBadShape;
-  if (br != 1 || bc != wc) return kBadShape;
-  return {xr, wc};
+Shape FusedDualLinearShape(const KernelArgs& k) {
+  if (k.num_in != 5) return std::nullopt;
+  const Operand& x = k.in[0];
+  const Operand& h = k.in[1];
+  const Operand& w = k.in[2];
+  const Operand& u = k.in[3];
+  const Operand& b = k.in[4];
+  if (x.rows != h.rows || x.cols != w.rows || h.cols != u.rows ||
+      w.cols != u.cols || b.rows != 1 || b.cols != w.cols) {
+    return std::nullopt;
+  }
+  return Dims{x.rows, w.cols};
 }
 
-void FusedDualLinearForward(const Graph& g, const Instr& ins,
-                            const ExecState& st) {
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const BufferDesc& h = Buf(g, ins.in[1]);
-  const BufferDesc& w = Buf(g, ins.in[2]);
-  const BufferDesc& u = Buf(g, ins.in[3]);
-  const BufferDesc& out = Buf(g, ins.out);
-  float* t1 = st.Ptr(ins.out);
-  float* t2 = st.Ptr(ins.aux);
-  MatMulInto(st.Ptr(ins.in[0]), x.rows, x.cols, st.Ptr(ins.in[2]), w.cols,
-             t1);
-  MatMulInto(st.Ptr(ins.in[1]), h.rows, h.cols, st.Ptr(ins.in[3]), u.cols,
-             t2);
-  const float* bias = st.Ptr(ins.in[4]);
+void FusedDualLinearForward(const KernelArgs& k) {
+  const Operand& x = k.in[0];
+  const Operand& h = k.in[1];
+  const Dims& out = k.out_dims;
+  float* t1 = k.out;
+  float* t2 = k.aux;
+  MatMulInto(x.data, x.rows, x.cols, k.in[2].data, k.in[2].cols, t1);
+  MatMulInto(h.data, h.rows, h.cols, k.in[3].data, k.in[3].cols, t2);
+  const float* bias = k.in[4].data;
   for (size_t i = 0; i < out.rows; ++i) {
     float* row = t1 + i * out.cols;
     const float* t2_row = t2 + i * out.cols;
@@ -642,32 +556,30 @@ inline int32_t DotInt8(const int8_t* a, const int8_t* b, size_t k) {
   return acc;
 }
 
-void QuantLinearForwardImpl(const Graph& g, const Instr& ins,
-                            const ExecState& st, FusedAct act) {
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const BufferDesc& w = Buf(g, ins.in[1]);
-  const QuantLinearInfo& q = g.quant_linears[static_cast<size_t>(ins.iattr0)];
-  const int8_t* qw = g.qweights.data() + q.qweight_offset;
-  const float* sw = g.qscales.data() + q.scale_offset;
-  const float* xv = st.Ptr(ins.in[0]);
-  const float* bias = st.Ptr(ins.in[2]);
-  float* out = st.Ptr(ins.out);
+void QuantLinearForwardImpl(const KernelArgs& k, FusedAct act) {
+  const Operand& x = k.in[0];
+  const QuantLinearInfo& q =
+      k.graph->quant_linears[static_cast<size_t>(k.iattr0)];
+  const int8_t* qw = k.graph->qweights.data() + q.qweight_offset;
+  const float* sw = k.graph->qscales.data() + q.scale_offset;
+  const float* bias = k.in[2].data;
+  float* out = k.out;
   const size_t rows = x.rows;
-  const size_t k = x.cols;
-  const size_t cols = w.cols;
+  const size_t depth = x.cols;
+  const size_t cols = k.in[1].cols;
   // Quantize the activations into the aux span (float storage reused as
   // bytes; char-typed access is aliasing-legal).
-  int8_t* qx = reinterpret_cast<int8_t*>(st.Ptr(ins.aux));
-  QuantizeAct(xv, qx, rows * k, 1.0f / q.in_scale);
+  int8_t* qx = reinterpret_cast<int8_t*>(k.aux);
+  QuantizeAct(x.data, qx, rows * depth, 1.0f / q.in_scale);
   for (size_t i = 0; i < rows; ++i) {
-    const int8_t* x_row = qx + i * k;
+    const int8_t* x_row = qx + i * depth;
     float* out_row = out + i * cols;
     size_t j = 0;
 #if defined(HISRECT_QUANT_AVX2)
     if (QuantCpuHasAvx2()) {
       for (; j + 4 <= cols; j += 4) {
         int32_t sums[4];
-        DotInt8Cols4Avx2(x_row, qw + j * k, k, sums);
+        DotInt8Cols4Avx2(x_row, qw + j * depth, depth, sums);
         for (size_t d = 0; d < 4; ++d) {
           out_row[j + d] = static_cast<float>(sums[d]) *
                                (q.in_scale * sw[j + d]) +
@@ -677,33 +589,21 @@ void QuantLinearForwardImpl(const Graph& g, const Instr& ins,
     }
 #endif
     for (; j < cols; ++j) {
-      const int32_t acc = DotInt8(x_row, qw + j * k, k);
+      const int32_t acc = DotInt8(x_row, qw + j * depth, depth);
       out_row[j] = static_cast<float>(acc) * (q.in_scale * sw[j]) + bias[j];
     }
   }
-  const size_t n = rows * cols;
-  switch (act) {
-    case FusedAct::kNone:
-      break;
-    case FusedAct::kRelu:
-      for (size_t i = 0; i < n; ++i) out[i] = std::max(0.0f, out[i]);
-      break;
-    case FusedAct::kTanh:
-      for (size_t i = 0; i < n; ++i) out[i] = std::tanh(out[i]);
-      break;
-  }
+  ApplyActivation(out, rows * cols, act);
 }
 
-void QuantLinearForward(const Graph& g, const Instr& ins, const ExecState& st) {
-  QuantLinearForwardImpl(g, ins, st, FusedAct::kNone);
+void QuantLinearForward(const KernelArgs& k) {
+  QuantLinearForwardImpl(k, FusedAct::kNone);
 }
-void QuantLinearReluForward(const Graph& g, const Instr& ins,
-                            const ExecState& st) {
-  QuantLinearForwardImpl(g, ins, st, FusedAct::kRelu);
+void QuantLinearReluForward(const KernelArgs& k) {
+  QuantLinearForwardImpl(k, FusedAct::kRelu);
 }
-void QuantLinearTanhForward(const Graph& g, const Instr& ins,
-                            const ExecState& st) {
-  QuantLinearForwardImpl(g, ins, st, FusedAct::kTanh);
+void QuantLinearTanhForward(const KernelArgs& k) {
+  QuantLinearForwardImpl(k, FusedAct::kTanh);
 }
 
 // ---------------------------------------------------------------------------
@@ -715,27 +615,24 @@ void QuantLinearTanhForward(const Graph& g, const Instr& ins,
 // per operand, the fp32 epilogue dequantizes each product with its own
 // scale pair before adding the bias.
 
-void QuantDualLinearForward(const Graph& g, const Instr& ins,
-                            const ExecState& st) {
-  const BufferDesc& x = Buf(g, ins.in[0]);
-  const BufferDesc& h = Buf(g, ins.in[1]);
-  const BufferDesc& w = Buf(g, ins.in[2]);
-  const QuantLinearInfo& qa = g.quant_linears[static_cast<size_t>(ins.iattr0)];
-  const QuantLinearInfo& qb = g.quant_linears[static_cast<size_t>(ins.iattr1)];
+void QuantDualLinearForward(const KernelArgs& k) {
+  const Graph& g = *k.graph;
+  const QuantLinearInfo& qa = g.quant_linears[static_cast<size_t>(k.iattr0)];
+  const QuantLinearInfo& qb = g.quant_linears[static_cast<size_t>(k.iattr1)];
   const int8_t* qw = g.qweights.data() + qa.qweight_offset;
   const int8_t* qu = g.qweights.data() + qb.qweight_offset;
   const float* sw = g.qscales.data() + qa.scale_offset;
   const float* su = g.qscales.data() + qb.scale_offset;
-  const float* bias = st.Ptr(ins.in[4]);
-  float* out = st.Ptr(ins.out);
-  const size_t rows = x.rows;
-  const size_t k1 = x.cols;
-  const size_t k2 = h.cols;
-  const size_t cols = w.cols;
-  int8_t* qx = reinterpret_cast<int8_t*>(st.Ptr(ins.aux));
+  const float* bias = k.in[4].data;
+  float* out = k.out;
+  const size_t rows = k.in[0].rows;
+  const size_t k1 = k.in[0].cols;
+  const size_t k2 = k.in[1].cols;
+  const size_t cols = k.in[2].cols;
+  int8_t* qx = reinterpret_cast<int8_t*>(k.aux);
   int8_t* qh = qx + rows * k1;
-  QuantizeAct(st.Ptr(ins.in[0]), qx, rows * k1, 1.0f / qa.in_scale);
-  QuantizeAct(st.Ptr(ins.in[1]), qh, rows * k2, 1.0f / qb.in_scale);
+  QuantizeAct(k.in[0].data, qx, rows * k1, 1.0f / qa.in_scale);
+  QuantizeAct(k.in[1].data, qh, rows * k2, 1.0f / qb.in_scale);
   for (size_t i = 0; i < rows; ++i) {
     const int8_t* x_row = qx + i * k1;
     const int8_t* h_row = qh + i * k2;
@@ -777,49 +674,49 @@ const OpSchema* BuildRegistry() {
   auto at = [&](OpKind k) -> OpSchema& {
     return schemas[static_cast<size_t>(k)];
   };
-  at(OpKind::kMatMul) = {"MatMul", 2, 2, MatMulShape, MatMulForward};
-  at(OpKind::kAdd) = {"Add", 2, 2, SameShape2, AddForward};
-  at(OpKind::kSub) = {"Sub", 2, 2, SameShape2, SubForward};
-  at(OpKind::kMul) = {"Mul", 2, 2, SameShape2, MulForward};
-  at(OpKind::kAddBroadcastRow) = {"AddBroadcastRow", 2, 2, BroadcastRowShape,
+  at(OpKind::kMatMul) = {"MatMul", MatMulShape, MatMulForward};
+  at(OpKind::kAdd) = {"Add", SameShape2, AddForward};
+  at(OpKind::kSub) = {"Sub", SameShape2, SubForward};
+  at(OpKind::kMul) = {"Mul", SameShape2, MulForward};
+  at(OpKind::kAddBroadcastRow) = {"AddBroadcastRow", BroadcastRowShape,
                                   AddBroadcastRowForward};
-  at(OpKind::kMulBroadcastRow) = {"MulBroadcastRow", 2, 2, BroadcastRowShape,
+  at(OpKind::kMulBroadcastRow) = {"MulBroadcastRow", BroadcastRowShape,
                                   MulBroadcastRowForward};
-  at(OpKind::kScale) = {"Scale", 1, 1, SameShape1, ScaleForward};
-  at(OpKind::kRelu) = {"Relu", 1, 1, SameShape1, ReluForward};
-  at(OpKind::kTanh) = {"Tanh", 1, 1, SameShape1, TanhForward};
-  at(OpKind::kSigmoid) = {"Sigmoid", 1, 1, SameShape1, SigmoidForward};
-  at(OpKind::kAbs) = {"Abs", 1, 1, SameShape1, AbsForward};
-  at(OpKind::kConcatCols) = {"ConcatCols", 2, 2, ConcatColsShape,
-                             ConcatColsForward};
-  at(OpKind::kSliceCols) = {"SliceCols", 1, 1, SliceColsShape,
-                            SliceColsForward};
-  at(OpKind::kSliceRows) = {"SliceRows", 1, 1, SliceRowsShape,
-                            SliceRowsForward};
-  at(OpKind::kRowStack) = {"RowStack", 1, 255, RowStackShape, RowStackForward};
-  at(OpKind::kMeanRows) = {"MeanRows", 1, 1, MeanRowsShape, MeanRowsForward};
-  at(OpKind::kSumAll) = {"SumAll", 1, 1, ScalarShape, SumAllForward};
-  at(OpKind::kL2NormalizeRow) = {"L2NormalizeRow", 1, 1, L2NormalizeRowShape,
+  at(OpKind::kScale) = {"Scale", SameShape1, ScaleForward};
+  at(OpKind::kRelu) = {"Relu", SameShape1, ReluForward};
+  at(OpKind::kTanh) = {"Tanh", SameShape1, TanhForward};
+  at(OpKind::kSigmoid) = {"Sigmoid", SameShape1, SigmoidForward};
+  at(OpKind::kAbs) = {"Abs", SameShape1, AbsForward};
+  at(OpKind::kConcatCols) = {"ConcatCols", ConcatColsShape, ConcatColsForward};
+  at(OpKind::kSliceCols) = {"SliceCols", SliceColsShape, SliceColsForward};
+  at(OpKind::kSliceRows) = {"SliceRows", SliceRowsShape, SliceRowsForward};
+  at(OpKind::kRowStack) = {"RowStack", RowStackShape, RowStackForward};
+  at(OpKind::kMeanRows) = {"MeanRows", MeanRowsShape, MeanRowsForward};
+  at(OpKind::kSumAll) = {"SumAll", SumAllShape, SumAllForward};
+  at(OpKind::kL2NormalizeRow) = {"L2NormalizeRow", L2NormalizeRowShape,
                                  L2NormalizeRowForward};
-  at(OpKind::kDot) = {"Dot", 2, 2, ScalarShape, DotForward};
-  at(OpKind::kConv1dSame) = {"Conv1dSame", 2, 2, Conv1dSameShape,
-                             Conv1dSameForward};
-  at(OpKind::kFusedLinear) = {"FusedLinear", 3, 3, FusedLinearShape,
+  at(OpKind::kDot) = {"Dot", DotShape, DotForward};
+  at(OpKind::kConv1dSame) = {"Conv1dSame", Conv1dSameShape, Conv1dSameForward};
+  at(OpKind::kFusedLinear) = {"FusedLinear", FusedLinearShape,
                               FusedLinearForward};
-  at(OpKind::kFusedLinearRelu) = {"FusedLinearRelu", 3, 3, FusedLinearShape,
+  at(OpKind::kFusedLinearRelu) = {"FusedLinearRelu", FusedLinearShape,
                                   FusedLinearReluForward};
-  at(OpKind::kFusedLinearTanh) = {"FusedLinearTanh", 3, 3, FusedLinearShape,
+  at(OpKind::kFusedLinearTanh) = {"FusedLinearTanh", FusedLinearShape,
                                   FusedLinearTanhForward};
-  at(OpKind::kQuantLinear) = {"QuantLinear", 3, 3, FusedLinearShape,
+  at(OpKind::kQuantLinear) = {"QuantLinear", FusedLinearShape,
                               QuantLinearForward};
-  at(OpKind::kQuantLinearRelu) = {"QuantLinearRelu", 3, 3, FusedLinearShape,
+  at(OpKind::kQuantLinearRelu) = {"QuantLinearRelu", FusedLinearShape,
                                   QuantLinearReluForward};
-  at(OpKind::kQuantLinearTanh) = {"QuantLinearTanh", 3, 3, FusedLinearShape,
+  at(OpKind::kQuantLinearTanh) = {"QuantLinearTanh", FusedLinearShape,
                                   QuantLinearTanhForward};
-  at(OpKind::kFusedDualLinear) = {"FusedDualLinear", 5, 5, FusedDualLinearShape,
+  at(OpKind::kFusedDualLinear) = {"FusedDualLinear", FusedDualLinearShape,
                                   FusedDualLinearForward};
-  at(OpKind::kQuantDualLinear) = {"QuantDualLinear", 5, 5, FusedDualLinearShape,
+  at(OpKind::kQuantDualLinear) = {"QuantDualLinear", FusedDualLinearShape,
                                   QuantDualLinearForward};
+  for (size_t k = 0; k < kNumKinds; ++k) {
+    CHECK(schemas[k].infer_shape != nullptr && schemas[k].forward != nullptr)
+        << "op kind " << k << " not registered";
+  }
   return schemas;
 }
 
@@ -828,10 +725,7 @@ const OpSchema* BuildRegistry() {
 const OpSchema& GetOpSchema(OpKind kind) {
   static const OpSchema* registry = BuildRegistry();
   CHECK_LT(static_cast<size_t>(kind), kNumKinds);
-  const OpSchema& schema = registry[static_cast<size_t>(kind)];
-  CHECK(schema.forward != nullptr)
-      << "op kind " << static_cast<int>(kind) << " not registered";
-  return schema;
+  return registry[static_cast<size_t>(kind)];
 }
 
 }  // namespace hisrect::nn

@@ -1,8 +1,10 @@
 #ifndef HISRECT_NN_GRAPH_IR_H_
 #define HISRECT_NN_GRAPH_IR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -18,12 +20,12 @@ namespace hisrect::nn {
 /// training-only tape ops (dropout, the losses) have no op kind — they
 /// CHECK-fail under an active recorder. Training runs the eager tape.
 ///
-/// Every op kind mirrors exactly one tape op in ops.cc: the plan kernels in
-/// graph_ir.cc reproduce the eager per-element arithmetic (same expressions,
-/// same loop order, same float/double accumulators), and matmuls go through
-/// the shared raw-pointer kernels in matrix.h — so a plan replay is bitwise
-/// identical to the tape it was recorded from. tests/plan_test.cc and
-/// tests/determinism_test.cc pin that contract.
+/// The OpSchema registry below is the one kernel set. Every recordable tape
+/// op in ops.cc (kMatMul through kConv1dSame) computes its forward value by
+/// calling its kind's registry kernel on Matrix storage, and PlanExecutor
+/// calls the same kernel on arena slices — so a plan replay is bitwise
+/// identical to the tape it was recorded from by construction. The fused and
+/// int8 kinds exist only in optimized plans (graph_optimizer.h).
 enum class OpKind : uint8_t {
   kMatMul = 0,
   kAdd,
@@ -142,29 +144,51 @@ struct Graph {
   std::vector<std::pair<int32_t, int32_t>> live;
 };
 
-class PlanInputs;
-
-/// Resolved per-execution state handed to kernels.
-struct ExecState {
-  const Graph* graph = nullptr;
-  float* arena = nullptr;
-  const std::vector<const float*>* inputs = nullptr;
-
-  float* Ptr(int32_t buffer_id) const;
+/// Operand shape.
+struct Dims {
+  size_t rows = 0;
+  size_t cols = 0;
+  size_t size() const { return rows * cols; }
 };
 
-/// Per-op schema: registry entry carrying the op's name, arity bounds,
-/// shape inference (used to validate recorded graphs) and kernel.
+/// One resolved kernel input: storage plus shape.
+struct Operand {
+  const float* data = nullptr;
+  size_t rows = 0;
+  size_t cols = 0;
+  size_t size() const { return rows * cols; }
+};
+
+/// The kernel ABI: resolved operands and attributes of one op invocation.
+/// PlanExecutor resolves them from arena, parameter, input and constant
+/// buffers; the eager ops in ops.cc point them at Matrix storage.
+struct KernelArgs {
+  const Operand* in = nullptr;
+  size_t num_in = 0;
+  float* out = nullptr;
+  Dims out_dims;
+  /// Forward-time workspace of the fused dual and int8 kinds; null
+  /// otherwise.
+  float* aux = nullptr;
+  float fattr = 0.0f;
+  int64_t iattr0 = 0;
+  int64_t iattr1 = 0;
+  /// The int8 kinds read Graph::quant_linears / qweights / qscales through
+  /// it; null on the eager tape.
+  const Graph* graph = nullptr;
+};
+
+/// Per-op schema: registry entry carrying the op's name, shape inference and
+/// kernel.
 struct OpSchema {
   const char* name = "?";
-  uint8_t min_arity = 1;
-  uint8_t max_arity = 1;
-  /// Returns the output shape for the given input shapes + attrs, or
-  /// {0, 0} when the combination is invalid.
-  std::pair<uint32_t, uint32_t> (*infer_shape)(
-      const Instr& instr, const std::vector<BufferDesc>& buffers) = nullptr;
-  void (*forward)(const Graph& g, const Instr& instr,
-                  const ExecState& st) = nullptr;
+  /// Output shape for the operand count and shapes in `args.in` and the
+  /// attributes, or nullopt when the combination is invalid. Reads nothing
+  /// else. The eager ops CHECK it before allocating their output, so it is
+  /// the one shape check of both paths.
+  std::optional<Dims> (*infer_shape)(const KernelArgs& args) = nullptr;
+  /// Writes `args.out` (shape `args.out_dims`, which infer_shape returned).
+  void (*forward)(const KernelArgs& args) = nullptr;
 };
 
 /// Registry lookup; CHECK-fails on an out-of-range kind.

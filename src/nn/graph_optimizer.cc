@@ -54,9 +54,10 @@ const float* ResolveStaticValues(const Graph& g, int32_t buffer) {
   }
 }
 
-bool IsFusedLinearKind(OpKind k) {
+/// The fp32 fused kinds QuantizeGraph rewrites to int8.
+bool IsQuantizableKind(OpKind k) {
   return k == OpKind::kFusedLinear || k == OpKind::kFusedLinearRelu ||
-         k == OpKind::kFusedLinearTanh;
+         k == OpKind::kFusedLinearTanh || k == OpKind::kFusedDualLinear;
 }
 
 /// True when the buffer's value is fixed at rewrite time — the weight kinds
@@ -275,47 +276,34 @@ Calibrator::Calibrator(std::shared_ptr<const Graph> graph, int samples_needed)
   CHECK(graph_ != nullptr);
   CHECK_GT(needed_, 0);
   size_t slots = 0;
-  for (size_t i = 0; i < graph_->instrs.size(); ++i) {
-    const OpKind k = graph_->instrs[i].kind;
-    if (IsFusedLinearKind(k) || k == OpKind::kFusedDualLinear) {
-      sites_.push_back(static_cast<int32_t>(i));
-      slots += k == OpKind::kFusedDualLinear ? 2 : 1;
+  for (const Instr& ins : graph_->instrs) {
+    if (IsQuantizableKind(ins.kind)) {
+      slots += ins.kind == OpKind::kFusedDualLinear ? 2 : 1;
     }
   }
   max_abs_.assign(slots, 0.0f);
 }
 
 void Calibrator::Observe(PlanRun& run) {
-  const Graph& g = *graph_;
-  if (run.arena.size() < g.arena_floats) run.arena.resize(g.arena_floats);
-  const std::vector<const float*>& inputs = run.inputs.Pointers();
-  CHECK_EQ(inputs.size(), g.num_inputs);
-  ExecState st{&g, run.arena.data(), &inputs};
-  // Interleaved with execution: arena slots are reused across instrs, so a
-  // site's activations are only observable right before its kernel runs.
-  size_t site = 0;
+  // Observed from inside the replay: arena slots are reused across instrs,
+  // so a site's activations exist only right before its kernel runs.
   size_t slot = 0;
-  for (size_t i = 0; i < g.instrs.size(); ++i) {
-    const Instr& ins = g.instrs[i];
-    if (site < sites_.size() &&
-        sites_[site] == static_cast<int32_t>(i)) {
-      // Dual sites quantize two activations (x then h); linear sites one.
-      const int quantized_inputs =
-          ins.kind == OpKind::kFusedDualLinear ? 2 : 1;
-      for (int a = 0; a < quantized_inputs; ++a) {
-        const float* x = st.Ptr(ins.in[a]);
-        const size_t count = g.buffers[ins.in[a]].size();
-        float running = max_abs_[slot];
-        for (size_t t = 0; t < count; ++t) {
-          running = std::max(running, std::fabs(x[t]));
-        }
-        max_abs_[slot] = running;
-        ++slot;
+  PlanExecutor::Forward(*graph_, run,
+                        [&](const Instr& ins, const KernelArgs& args) {
+    if (!IsQuantizableKind(ins.kind)) return;
+    // Dual sites quantize two activations (x then h); linear sites one.
+    const size_t quantized_inputs =
+        ins.kind == OpKind::kFusedDualLinear ? 2 : 1;
+    for (size_t a = 0; a < quantized_inputs; ++a) {
+      const Operand& x = args.in[a];
+      float running = max_abs_[slot];
+      for (size_t t = 0; t < x.size(); ++t) {
+        running = std::max(running, std::fabs(x.data[t]));
       }
-      ++site;
+      max_abs_[slot] = running;
+      ++slot;
     }
-    GetOpSchema(ins.kind).forward(g, ins, st);
-  }
+  });
   ++seen_;
 }
 

@@ -68,7 +68,6 @@ class Calibrator {
 
  private:
   std::shared_ptr<const Graph> graph_;
-  std::vector<int32_t> sites_;   // forward instr indices of fused linears
   std::vector<float> max_abs_;   // running max |activation| per quantized
                                  // input: one slot per fused-linear site,
                                  // two (x then h) per dual-linear site

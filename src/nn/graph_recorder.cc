@@ -78,23 +78,17 @@ int32_t GraphRecorder::ValueBufferFor(
   return id;
 }
 
-void GraphRecorder::OnOp(OpKind kind, const Tensor& out,
-                         const std::vector<const Tensor*>& parents,
-                         float fattr, int64_t iattr0, int64_t iattr1) {
+void GraphRecorder::OnOp(OpKind kind, const Tensor& out, float fattr,
+                         int64_t iattr0, int64_t iattr1) {
   CHECK(!finished_);
-  const OpSchema& schema = GetOpSchema(kind);
-  CHECK_GE(parents.size(), static_cast<size_t>(schema.min_arity));
-  CHECK_LE(parents.size(), static_cast<size_t>(schema.max_arity));
-
   Instr ins;
   ins.kind = kind;
   ins.fattr = fattr;
   ins.iattr0 = iattr0;
   ins.iattr1 = iattr1;
+  const auto& parents = out.node()->parents;
   ins.in.reserve(parents.size());
-  for (const Tensor* parent : parents) {
-    ins.in.push_back(ValueBufferFor(parent->node()));
-  }
+  for (const auto& parent : parents) ins.in.push_back(ValueBufferFor(parent));
 
   // Output buffer (always arena-planned).
   BufferDesc out_desc;
@@ -105,15 +99,6 @@ void GraphRecorder::OnOp(OpKind kind, const Tensor& out,
   graph_->buffers.push_back(out_desc);
   value_buffer_.emplace(out.node().get(), ins.out);
   keepalive_.push_back(out.node());
-
-  // Registry shape validation: recorded output shape must match the schema.
-  if (schema.infer_shape != nullptr) {
-    auto [er, ec] = schema.infer_shape(ins, graph_->buffers);
-    CHECK(er == out_desc.rows && ec == out_desc.cols)
-        << schema.name << ": recorded output " << out_desc.rows << "x"
-        << out_desc.cols << " but schema infers " << er << "x" << ec;
-  }
-
   graph_->instrs.push_back(std::move(ins));
 }
 
@@ -133,25 +118,6 @@ std::shared_ptr<const Graph> GraphRecorder::Finish(const Tensor& output) {
   finished_ = true;
   if (g_active == this) g_active = nullptr;
   return std::shared_ptr<const Graph>(std::move(graph_));
-}
-
-void RecordOp(OpKind kind, const Tensor& out,
-              std::initializer_list<const Tensor*> parents, float fattr,
-              int64_t iattr0, int64_t iattr1) {
-  GraphRecorder* rec = g_active;
-  if (rec == nullptr) return;
-  std::vector<const Tensor*> list(parents.begin(), parents.end());
-  rec->OnOp(kind, out, list, fattr, iattr0, iattr1);
-}
-
-void RecordOpMany(OpKind kind, const Tensor& out,
-                  const std::vector<Tensor>& parents) {
-  GraphRecorder* rec = g_active;
-  if (rec == nullptr) return;
-  std::vector<const Tensor*> list;
-  list.reserve(parents.size());
-  for (const Tensor& t : parents) list.push_back(&t);
-  rec->OnOp(kind, out, list, 0.0f, 0, 0);
 }
 
 void RecordPlanInput(const Tensor& leaf) {

@@ -2,7 +2,6 @@
 #define HISRECT_NN_GRAPH_RECORDER_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -19,8 +18,8 @@ namespace hisrect::nn {
 ///   Tensor logit = ... ordinary eval-mode eager forward ...;  // ops record
 ///   std::shared_ptr<const Graph> plan = rec.Finish(logit);
 ///
-/// While a recorder is active on the current thread, every op in ops.cc
-/// appends an Instr via the RecordOp hooks below, and RecordPlanInput marks
+/// While a recorder is active on the current thread, every recordable op in
+/// ops.cc appends an Instr through OnOp, and RecordPlanInput marks
 /// per-execution leaves (feature rows, embedding rows, labels). Leaves are
 /// classified at first use: declared inputs stay symbolic; requires_grad
 /// leaves become bound parameters (read through their live Node on every
@@ -49,10 +48,11 @@ class GraphRecorder {
   /// deactivates the recorder.
   std::shared_ptr<const Graph> Finish(const Tensor& output);
 
-  // Hook bodies (called via the free functions below).
-  void OnOp(OpKind kind, const Tensor& out,
-            const std::vector<const Tensor*>& parents, float fattr,
-            int64_t iattr0, int64_t iattr1);
+  /// Appends the op that just produced `out` (its operands are the node's
+  /// parents). Called by ops.cc right after the registry kernel ran.
+  void OnOp(OpKind kind, const Tensor& out, float fattr, int64_t iattr0,
+            int64_t iattr1);
+  /// Body of RecordPlanInput.
   void OnInput(const Tensor& leaf);
 
  private:
@@ -65,14 +65,6 @@ class GraphRecorder {
   std::unordered_map<const Tensor::Node*, int32_t> value_buffer_;
   std::vector<std::shared_ptr<Tensor::Node>> keepalive_;
 };
-
-/// Op hooks, called from ops.cc after each node is built. No-ops when no
-/// recorder is active on the current thread (one TLS load + branch).
-void RecordOp(OpKind kind, const Tensor& out,
-              std::initializer_list<const Tensor*> parents, float fattr = 0.0f,
-              int64_t iattr0 = 0, int64_t iattr1 = 0);
-void RecordOpMany(OpKind kind, const Tensor& out,
-                  const std::vector<Tensor>& parents);
 
 /// Declares `leaf` as a per-execution input of the plan being recorded (its
 /// value is NOT baked in; the executor binds a fresh pointer every run).

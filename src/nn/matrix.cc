@@ -14,6 +14,9 @@
 
 namespace hisrect::nn {
 
+Matrix::Matrix(size_t rows, size_t cols)
+    : rows_(rows), cols_(cols), data_(rows * cols) {}
+
 Matrix::Matrix(size_t rows, size_t cols, float fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
@@ -202,10 +205,9 @@ inline void CountMatMulCall() {
   calls->Increment();
 }
 
-// Kernel bodies shared by the Matrix overloads and the raw-pointer *Into
-// entry points. MatMulAccumulate / MatMulTransposedAAccumulate accumulate
-// into `out` and expect it pre-zeroed; the transposed-B kernel assigns every
-// output element outright.
+// Kernel bodies behind the public entry points. MatMulAccumulate /
+// MatMulTransposedAAccumulate accumulate into `out` and expect it
+// pre-zeroed; the transposed-B kernel assigns every output element outright.
 void MatMulAccumulate(const float* a, size_t a_rows, size_t a_cols,
                       const float* b, size_t b_cols, float* out) {
   const size_t n = b_cols;
@@ -300,11 +302,9 @@ void MatMulTransposedAAccumulate(const float* a, size_t a_rows, size_t a_cols,
 }  // namespace
 
 Matrix MatMulValues(const Matrix& a, const Matrix& b) {
-  CountMatMulCall();
   CHECK_EQ(a.cols(), b.rows());
-  Matrix out(a.rows(), b.cols());  // ctor zero-fills; kernel accumulates
-  MatMulAccumulate(a.data(), a.rows(), a.cols(), b.data(), b.cols(),
-                   out.data());
+  Matrix out(a.rows(), b.cols());
+  MatMulInto(a.data(), a.rows(), a.cols(), b.data(), b.cols(), out.data());
   return out;
 }
 
@@ -331,19 +331,6 @@ void MatMulInto(const float* a, size_t a_rows, size_t a_cols, const float* b,
   CountMatMulCall();
   std::fill(out, out + a_rows * b_cols, 0.0f);
   MatMulAccumulate(a, a_rows, a_cols, b, b_cols, out);
-}
-
-void MatMulTransposedBInto(const float* a, size_t a_rows, size_t a_cols,
-                           const float* b, size_t b_rows, float* out) {
-  CountMatMulCall();
-  MatMulTransposedBAssign(a, a_rows, a_cols, b, b_rows, out);
-}
-
-void MatMulTransposedAInto(const float* a, size_t a_rows, size_t a_cols,
-                           const float* b, size_t b_cols, float* out) {
-  CountMatMulCall();
-  std::fill(out, out + a_cols * b_cols, 0.0f);
-  MatMulTransposedAAccumulate(a, a_rows, a_cols, b, b_cols, out);
 }
 
 }  // namespace hisrect::nn

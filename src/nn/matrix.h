@@ -12,7 +12,10 @@ namespace hisrect::nn {
 class Matrix {
  public:
   Matrix() = default;
-  Matrix(size_t rows, size_t cols, float fill = 0.0f);
+  /// Zero-filled. (A separate overload: zero-initializing is a memset,
+  /// filling with a run-time value is a store loop.)
+  Matrix(size_t rows, size_t cols);
+  Matrix(size_t rows, size_t cols, float fill);
   Matrix(size_t rows, size_t cols, std::vector<float> data);
 
   static Matrix RowVector(std::vector<float> values);
@@ -69,19 +72,13 @@ Matrix MatMulTransposedB(const Matrix& a, const Matrix& b);
 /// out = a^T * b. Shapes: (k x r) * (k x c) -> (r x c).
 Matrix MatMulTransposedA(const Matrix& a, const Matrix& b);
 
-/// Raw-pointer GEMM entry points over the exact same blocked/AVX2 kernels as
-/// the Matrix overloads above — the plan executor (plan_executor.cc) runs on
-/// arena slices, and sharing one kernel body is what makes planned and eager
-/// execution bitwise-identical by construction. `out` must not alias a or b.
-/// out = a * b, a is (a_rows x a_cols), b is (a_cols x b_cols). Overwrites.
+/// Raw-pointer GEMM over the same blocked/AVX2 kernel as MatMulValues: the
+/// kMatMul and fused-linear registry kernels (graph_ir.cc) call it on
+/// Matrix storage and on plan arena slices alike. `out` must not alias a or
+/// b. out = a * b, a is (a_rows x a_cols), b is (a_cols x b_cols).
+/// Overwrites.
 void MatMulInto(const float* a, size_t a_rows, size_t a_cols, const float* b,
                 size_t b_cols, float* out);
-/// out = a * b^T, a is (a_rows x a_cols), b is (b_rows x a_cols). Overwrites.
-void MatMulTransposedBInto(const float* a, size_t a_rows, size_t a_cols,
-                           const float* b, size_t b_rows, float* out);
-/// out = a^T * b, a is (a_rows x a_cols), b is (a_rows x b_cols). Overwrites.
-void MatMulTransposedAInto(const float* a, size_t a_rows, size_t a_cols,
-                           const float* b, size_t b_cols, float* out);
 
 }  // namespace hisrect::nn
 

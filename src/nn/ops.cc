@@ -2,20 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <string>
 #include <utility>
 
+#include "nn/graph_ir.h"
 #include "nn/graph_recorder.h"
 #include "util/logging.h"
 
 namespace hisrect::nn {
 
-// Every inference op calls RecordOp/RecordOpMany after building its node: a
-// no-op (one thread-local load) unless a GraphRecorder is active on this
-// thread, in which case the op appends itself to the plan being recorded.
-// Training-only ops (losses, training-mode dropout) CHECK-fail instead. The
-// plan kernels in graph_ir.cc mirror the arithmetic here expression-for-
-// expression — any change to an op body must be mirrored there, and the
-// bitwise tape-vs-plan tests will catch a drift.
+// A recordable op is its backward closure plus one Apply call: the forward
+// value comes from the op kind's registry kernel (graph_ir.h), the same
+// kernel a plan replay runs, so eager and planned values agree bitwise by
+// construction. Training-only ops (losses, training-mode dropout) compute
+// here and CHECK-fail under an active GraphRecorder.
 
 namespace {
 
@@ -34,11 +36,62 @@ void CheckNotRecording(const char* op) {
       << op << " is training-only and cannot be recorded into a plan";
 }
 
+std::string ShapesOf(const std::vector<Tensor>& parents) {
+  std::string shapes;
+  for (const Tensor& p : parents) {
+    shapes += shapes.empty() ? "" : ", ";
+    shapes += std::to_string(p.rows()) + "x" + std::to_string(p.cols());
+  }
+  return "[" + shapes + "]";
+}
+
+// Operand slots that live on the stack; only a longer RowStack spills.
+constexpr size_t kInlineOperands = 4;
+
+// The one forward path of every recordable op: infer the output shape
+// through the registry (CHECK-failing with the op's name), allocate it, run
+// the registry kernel on the parents' values, build the tape node, and
+// append the op to the active GraphRecorder, if any.
+Tensor Apply(OpKind kind, std::vector<Tensor> parents,
+             std::function<void(Node&)> backward, float fattr = 0.0f,
+             int64_t iattr0 = 0, int64_t iattr1 = 0) {
+  const OpSchema& schema = GetOpSchema(kind);
+  Operand inline_in[kInlineOperands];
+  std::vector<Operand> spilled;
+  Operand* in = inline_in;
+  if (parents.size() > kInlineOperands) {
+    spilled.resize(parents.size());
+    in = spilled.data();
+  }
+  for (size_t i = 0; i < parents.size(); ++i) {
+    const Matrix& v = parents[i].value();
+    in[i] = {v.data(), v.rows(), v.cols()};
+  }
+  KernelArgs args;
+  args.in = in;
+  args.num_in = parents.size();
+  args.fattr = fattr;
+  args.iattr0 = iattr0;
+  args.iattr1 = iattr1;
+  const std::optional<Dims> dims = schema.infer_shape(args);
+  CHECK(dims.has_value()) << schema.name << ": invalid operand shapes "
+                          << ShapesOf(parents);
+  Matrix out(dims->rows, dims->cols);
+  args.out = out.data();
+  args.out_dims = *dims;
+  schema.forward(args);
+  Tensor t = Tensor::MakeOp(std::move(out), std::move(parents),
+                            std::move(backward));
+  if (GraphRecorder* recorder = GraphRecorder::Active()) {
+    recorder->OnOp(kind, t, fattr, iattr0, iattr1);
+  }
+  return t;
+}
+
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  Matrix out = MatMulValues(a.value(), b.value());
-  Tensor t = Tensor::MakeOp(std::move(out), {a, b}, [](Node& self) {
+  return Apply(OpKind::kMatMul, {a, b}, [](Node& self) {
     Node& pa = *self.parents[0];
     Node& pb = *self.parents[1];
     if (pa.requires_grad) {
@@ -48,29 +101,17 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       AccumulateInto(pb, MatMulTransposedA(pa.value, self.grad));
     }
   });
-  RecordOp(OpKind::kMatMul, t, {&a, &b});
-  return t;
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  CHECK_EQ(a.rows(), b.rows());
-  CHECK_EQ(a.cols(), b.cols());
-  Matrix out = a.value();
-  out.AddInPlace(b.value());
-  Tensor t = Tensor::MakeOp(std::move(out), {a, b}, [](Node& self) {
+  return Apply(OpKind::kAdd, {a, b}, [](Node& self) {
     AccumulateInto(*self.parents[0], self.grad);
     AccumulateInto(*self.parents[1], self.grad);
   });
-  RecordOp(OpKind::kAdd, t, {&a, &b});
-  return t;
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  CHECK_EQ(a.rows(), b.rows());
-  CHECK_EQ(a.cols(), b.cols());
-  Matrix out = a.value();
-  out.AddScaled(b.value(), -1.0f);
-  Tensor t = Tensor::MakeOp(std::move(out), {a, b}, [](Node& self) {
+  return Apply(OpKind::kSub, {a, b}, [](Node& self) {
     AccumulateInto(*self.parents[0], self.grad);
     Node& pb = *self.parents[1];
     if (pb.requires_grad) {
@@ -78,18 +119,10 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
       pb.grad.AddScaled(self.grad, -1.0f);
     }
   });
-  RecordOp(OpKind::kSub, t, {&a, &b});
-  return t;
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  CHECK_EQ(a.rows(), b.rows());
-  CHECK_EQ(a.cols(), b.cols());
-  Matrix out(a.rows(), a.cols());
-  const Matrix& av = a.value();
-  const Matrix& bv = b.value();
-  for (size_t i = 0; i < out.size(); ++i) out.data()[i] = av.data()[i] * bv.data()[i];
-  Tensor t = Tensor::MakeOp(std::move(out), {a, b}, [](Node& self) {
+  return Apply(OpKind::kMul, {a, b}, [](Node& self) {
     Node& pa = *self.parents[0];
     Node& pb = *self.parents[1];
     if (pa.requires_grad) {
@@ -107,20 +140,10 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       AccumulateInto(pb, delta);
     }
   });
-  RecordOp(OpKind::kMul, t, {&a, &b});
-  return t;
 }
 
 Tensor AddBroadcastRow(const Tensor& x, const Tensor& row) {
-  CHECK_EQ(row.rows(), 1u);
-  CHECK_EQ(x.cols(), row.cols());
-  Matrix out = x.value();
-  const float* r = row.value().data();
-  for (size_t i = 0; i < out.rows(); ++i) {
-    float* out_row = out.data() + i * out.cols();
-    for (size_t j = 0; j < out.cols(); ++j) out_row[j] += r[j];
-  }
-  Tensor t = Tensor::MakeOp(std::move(out), {x, row}, [](Node& self) {
+  return Apply(OpKind::kAddBroadcastRow, {x, row}, [](Node& self) {
     AccumulateInto(*self.parents[0], self.grad);
     Node& prow = *self.parents[1];
     if (prow.requires_grad) {
@@ -133,20 +156,10 @@ Tensor AddBroadcastRow(const Tensor& x, const Tensor& row) {
       }
     }
   });
-  RecordOp(OpKind::kAddBroadcastRow, t, {&x, &row});
-  return t;
 }
 
 Tensor MulBroadcastRow(const Tensor& x, const Tensor& row) {
-  CHECK_EQ(row.rows(), 1u);
-  CHECK_EQ(x.cols(), row.cols());
-  Matrix out = x.value();
-  const float* r = row.value().data();
-  for (size_t i = 0; i < out.rows(); ++i) {
-    float* out_row = out.data() + i * out.cols();
-    for (size_t j = 0; j < out.cols(); ++j) out_row[j] *= r[j];
-  }
-  Tensor t = Tensor::MakeOp(std::move(out), {x, row}, [](Node& self) {
+  return Apply(OpKind::kMulBroadcastRow, {x, row}, [](Node& self) {
     Node& px = *self.parents[0];
     Node& prow = *self.parents[1];
     size_t cols = self.grad.cols();
@@ -171,28 +184,23 @@ Tensor MulBroadcastRow(const Tensor& x, const Tensor& row) {
       }
     }
   });
-  RecordOp(OpKind::kMulBroadcastRow, t, {&x, &row});
-  return t;
 }
 
 Tensor Scale(const Tensor& x, float s) {
-  Matrix out = x.value();
-  for (size_t i = 0; i < out.size(); ++i) out.data()[i] *= s;
-  Tensor t = Tensor::MakeOp(std::move(out), {x}, [s](Node& self) {
-    Node& px = *self.parents[0];
-    if (px.requires_grad) {
-      px.EnsureGrad();
-      px.grad.AddScaled(self.grad, s);
-    }
-  });
-  RecordOp(OpKind::kScale, t, {&x}, s);
-  return t;
+  return Apply(
+      OpKind::kScale, {x},
+      [s](Node& self) {
+        Node& px = *self.parents[0];
+        if (px.requires_grad) {
+          px.EnsureGrad();
+          px.grad.AddScaled(self.grad, s);
+        }
+      },
+      s);
 }
 
 Tensor Relu(const Tensor& x) {
-  Matrix out = x.value();
-  for (size_t i = 0; i < out.size(); ++i) out.data()[i] = std::max(0.0f, out.data()[i]);
-  Tensor t = Tensor::MakeOp(std::move(out), {x}, [](Node& self) {
+  return Apply(OpKind::kRelu, {x}, [](Node& self) {
     Node& px = *self.parents[0];
     if (!px.requires_grad) return;
     Matrix delta(self.grad.rows(), self.grad.cols());
@@ -201,14 +209,10 @@ Tensor Relu(const Tensor& x) {
     }
     AccumulateInto(px, delta);
   });
-  RecordOp(OpKind::kRelu, t, {&x});
-  return t;
 }
 
 Tensor Tanh(const Tensor& x) {
-  Matrix out = x.value();
-  for (size_t i = 0; i < out.size(); ++i) out.data()[i] = std::tanh(out.data()[i]);
-  Tensor t = Tensor::MakeOp(std::move(out), {x}, [](Node& self) {
+  return Apply(OpKind::kTanh, {x}, [](Node& self) {
     Node& px = *self.parents[0];
     if (!px.requires_grad) return;
     Matrix delta(self.grad.rows(), self.grad.cols());
@@ -218,14 +222,10 @@ Tensor Tanh(const Tensor& x) {
     }
     AccumulateInto(px, delta);
   });
-  RecordOp(OpKind::kTanh, t, {&x});
-  return t;
 }
 
 Tensor Sigmoid(const Tensor& x) {
-  Matrix out = x.value();
-  for (size_t i = 0; i < out.size(); ++i) out.data()[i] = SigmoidValue(out.data()[i]);
-  Tensor t = Tensor::MakeOp(std::move(out), {x}, [](Node& self) {
+  return Apply(OpKind::kSigmoid, {x}, [](Node& self) {
     Node& px = *self.parents[0];
     if (!px.requires_grad) return;
     Matrix delta(self.grad.rows(), self.grad.cols());
@@ -235,14 +235,10 @@ Tensor Sigmoid(const Tensor& x) {
     }
     AccumulateInto(px, delta);
   });
-  RecordOp(OpKind::kSigmoid, t, {&x});
-  return t;
 }
 
 Tensor Abs(const Tensor& x) {
-  Matrix out = x.value();
-  for (size_t i = 0; i < out.size(); ++i) out.data()[i] = std::fabs(out.data()[i]);
-  Tensor t = Tensor::MakeOp(std::move(out), {x}, [](Node& self) {
+  return Apply(OpKind::kAbs, {x}, [](Node& self) {
     Node& px = *self.parents[0];
     if (!px.requires_grad) return;
     Matrix delta(self.grad.rows(), self.grad.cols());
@@ -253,24 +249,12 @@ Tensor Abs(const Tensor& x) {
     }
     AccumulateInto(px, delta);
   });
-  RecordOp(OpKind::kAbs, t, {&x});
-  return t;
 }
 
 Tensor ConcatCols(const Tensor& a, const Tensor& b) {
-  CHECK_EQ(a.rows(), b.rows());
-  size_t rows = a.rows();
-  size_t na = a.cols();
-  size_t nb = b.cols();
-  Matrix out(rows, na + nb);
-  for (size_t i = 0; i < rows; ++i) {
-    const float* a_row = a.value().data() + i * na;
-    const float* b_row = b.value().data() + i * nb;
-    float* out_row = out.data() + i * (na + nb);
-    std::copy(a_row, a_row + na, out_row);
-    std::copy(b_row, b_row + nb, out_row + na);
-  }
-  Tensor t = Tensor::MakeOp(std::move(out), {a, b}, [na, nb](Node& self) {
+  const size_t na = a.cols();
+  const size_t nb = b.cols();
+  return Apply(OpKind::kConcatCols, {a, b}, [na, nb](Node& self) {
     Node& pa = *self.parents[0];
     Node& pb = *self.parents[1];
     size_t rows = self.grad.rows();
@@ -291,68 +275,44 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
       }
     }
   });
-  RecordOp(OpKind::kConcatCols, t, {&a, &b});
-  return t;
 }
 
 Tensor SliceCols(const Tensor& x, size_t start, size_t count) {
-  CHECK_LE(start + count, x.cols());
-  size_t rows = x.rows();
-  size_t cols = x.cols();
-  Matrix out(rows, count);
-  for (size_t i = 0; i < rows; ++i) {
-    const float* src = x.value().data() + i * cols + start;
-    std::copy(src, src + count, out.data() + i * count);
-  }
-  Tensor t = Tensor::MakeOp(std::move(out), {x}, [start, count](Node& self) {
-    Node& px = *self.parents[0];
-    if (!px.requires_grad) return;
-    px.EnsureGrad();
-    size_t cols = px.value.cols();
-    for (size_t i = 0; i < self.grad.rows(); ++i) {
-      const float* g_row = self.grad.data() + i * count;
-      float* p_row = px.grad.data() + i * cols + start;
-      for (size_t j = 0; j < count; ++j) p_row[j] += g_row[j];
-    }
-  });
-  RecordOp(OpKind::kSliceCols, t, {&x}, 0.0f, static_cast<int64_t>(start),
-           static_cast<int64_t>(count));
-  return t;
+  return Apply(
+      OpKind::kSliceCols, {x},
+      [start, count](Node& self) {
+        Node& px = *self.parents[0];
+        if (!px.requires_grad) return;
+        px.EnsureGrad();
+        size_t cols = px.value.cols();
+        for (size_t i = 0; i < self.grad.rows(); ++i) {
+          const float* g_row = self.grad.data() + i * count;
+          float* p_row = px.grad.data() + i * cols + start;
+          for (size_t j = 0; j < count; ++j) p_row[j] += g_row[j];
+        }
+      },
+      0.0f, static_cast<int64_t>(start), static_cast<int64_t>(count));
 }
 
 Tensor SliceRows(const Tensor& x, size_t start, size_t count) {
-  CHECK_LE(start + count, x.rows());
-  size_t cols = x.cols();
-  Matrix out(count, cols);
-  std::copy(x.value().data() + start * cols,
-            x.value().data() + (start + count) * cols, out.data());
-  Tensor t = Tensor::MakeOp(std::move(out), {x}, [start, count](Node& self) {
-    Node& px = *self.parents[0];
-    if (!px.requires_grad) return;
-    px.EnsureGrad();
-    size_t cols = px.value.cols();
-    for (size_t i = 0; i < count; ++i) {
-      const float* g_row = self.grad.data() + i * cols;
-      float* p_row = px.grad.data() + (start + i) * cols;
-      for (size_t j = 0; j < cols; ++j) p_row[j] += g_row[j];
-    }
-  });
-  RecordOp(OpKind::kSliceRows, t, {&x}, 0.0f, static_cast<int64_t>(start),
-           static_cast<int64_t>(count));
-  return t;
+  return Apply(
+      OpKind::kSliceRows, {x},
+      [start, count](Node& self) {
+        Node& px = *self.parents[0];
+        if (!px.requires_grad) return;
+        px.EnsureGrad();
+        size_t cols = px.value.cols();
+        for (size_t i = 0; i < count; ++i) {
+          const float* g_row = self.grad.data() + i * cols;
+          float* p_row = px.grad.data() + (start + i) * cols;
+          for (size_t j = 0; j < cols; ++j) p_row[j] += g_row[j];
+        }
+      },
+      0.0f, static_cast<int64_t>(start), static_cast<int64_t>(count));
 }
 
 Tensor RowStack(const std::vector<Tensor>& rows) {
-  CHECK(!rows.empty());
-  size_t cols = rows[0].cols();
-  Matrix out(rows.size(), cols);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    CHECK_EQ(rows[i].rows(), 1u);
-    CHECK_EQ(rows[i].cols(), cols);
-    std::copy(rows[i].value().data(), rows[i].value().data() + cols,
-              out.data() + i * cols);
-  }
-  Tensor t = Tensor::MakeOp(std::move(out), rows, [](Node& self) {
+  return Apply(OpKind::kRowStack, rows, [](Node& self) {
     size_t cols = self.grad.cols();
     for (size_t i = 0; i < self.parents.size(); ++i) {
       Node& parent = *self.parents[i];
@@ -362,25 +322,11 @@ Tensor RowStack(const std::vector<Tensor>& rows) {
       for (size_t j = 0; j < cols; ++j) parent.grad.data()[j] += g_row[j];
     }
   });
-  RecordOpMany(OpKind::kRowStack, t, rows);
-  return t;
 }
 
 Tensor MeanRows(const Tensor& x) {
-  size_t rows = x.rows();
-  size_t cols = x.cols();
-  Matrix out(1, cols);
-  std::vector<double> sums(cols, 0.0);
-  for (size_t i = 0; i < rows; ++i) {
-    const float* row = x.value().data() + i * cols;
-    for (size_t j = 0; j < cols; ++j) sums[j] += row[j];
-  }
-  double inv_d = 1.0 / static_cast<double>(rows);
-  for (size_t j = 0; j < cols; ++j) {
-    out.data()[j] = static_cast<float>(sums[j] * inv_d);
-  }
-  float inv = 1.0f / static_cast<float>(rows);
-  Tensor t = Tensor::MakeOp(std::move(out), {x}, [inv](Node& self) {
+  const float inv = 1.0f / static_cast<float>(x.rows());
+  return Apply(OpKind::kMeanRows, {x}, [inv](Node& self) {
     Node& px = *self.parents[0];
     if (!px.requires_grad) return;
     px.EnsureGrad();
@@ -392,24 +338,16 @@ Tensor MeanRows(const Tensor& x) {
       }
     }
   });
-  RecordOp(OpKind::kMeanRows, t, {&x});
-  return t;
 }
 
 Tensor SumAll(const Tensor& x) {
-  double total = 0.0;
-  for (size_t i = 0; i < x.value().size(); ++i) total += x.value().data()[i];
-  Matrix out(1, 1);
-  out.At(0, 0) = static_cast<float>(total);
-  Tensor t = Tensor::MakeOp(std::move(out), {x}, [](Node& self) {
+  return Apply(OpKind::kSumAll, {x}, [](Node& self) {
     Node& px = *self.parents[0];
     if (!px.requires_grad) return;
     px.EnsureGrad();
     float g = self.grad.At(0, 0);
     for (size_t i = 0; i < px.grad.size(); ++i) px.grad.data()[i] += g;
   });
-  RecordOp(OpKind::kSumAll, t, {&x});
-  return t;
 }
 
 Tensor MeanAll(const Tensor& x) {
@@ -419,24 +357,12 @@ Tensor MeanAll(const Tensor& x) {
 }
 
 Tensor L2NormalizeRow(const Tensor& x) {
-  CHECK_EQ(x.rows(), 1u);
-  const Matrix& v = x.value();
-  // Smoothed norm: sqrt(||x||^2 + eps) bounds the backward amplification
-  // (1/norm) for near-zero inputs instead of exploding.
-  constexpr float kEps = 1e-6f;
-  double norm_sq = 0.0;
-  for (size_t i = 0; i < v.size(); ++i) {
-    norm_sq += static_cast<double>(v.data()[i]) * v.data()[i];
-  }
-  float norm = static_cast<float>(std::sqrt(norm_sq + kEps));
-  Matrix out = v;
-  float inv = 1.0f / norm;
-  for (size_t i = 0; i < out.size(); ++i) out.data()[i] *= inv;
-  Tensor t = Tensor::MakeOp(std::move(out), {x}, [inv](Node& self) {
+  return Apply(OpKind::kL2NormalizeRow, {x}, [](Node& self) {
     Node& px = *self.parents[0];
     if (!px.requires_grad) return;
     // y = x / norm; dL/dx = (g - y * <g, y>) / norm (with the smoothed norm
     // the <g, y> projection is approximate near zero, which is fine).
+    const float inv = InverseSmoothedNorm(px.value.data(), px.value.size());
     size_t n = self.grad.size();
     double dot = 0.0;
     for (size_t i = 0; i < n; ++i) {
@@ -450,21 +376,10 @@ Tensor L2NormalizeRow(const Tensor& x) {
     }
     AccumulateInto(px, delta);
   });
-  RecordOp(OpKind::kL2NormalizeRow, t, {&x});
-  return t;
 }
 
 Tensor Dot(const Tensor& a, const Tensor& b) {
-  CHECK_EQ(a.rows(), 1u);
-  CHECK_EQ(b.rows(), 1u);
-  CHECK_EQ(a.cols(), b.cols());
-  double acc = 0.0;
-  for (size_t i = 0; i < a.cols(); ++i) {
-    acc += static_cast<double>(a.value().data()[i]) * b.value().data()[i];
-  }
-  Matrix out(1, 1);
-  out.At(0, 0) = static_cast<float>(acc);
-  Tensor t = Tensor::MakeOp(std::move(out), {a, b}, [](Node& self) {
+  return Apply(OpKind::kDot, {a, b}, [](Node& self) {
     Node& pa = *self.parents[0];
     Node& pb = *self.parents[1];
     float g = self.grad.At(0, 0);
@@ -477,8 +392,6 @@ Tensor Dot(const Tensor& a, const Tensor& b) {
       pb.grad.AddScaled(pa.value, g);
     }
   });
-  RecordOp(OpKind::kDot, t, {&a, &b});
-  return t;
 }
 
 Tensor SquaredL2Diff(const Tensor& a, const Tensor& b) {
@@ -555,26 +468,10 @@ Tensor Dropout(const Tensor& x, float drop_rate, util::Rng& rng,
 }
 
 Tensor Conv1dSame(const Tensor& x, const Tensor& kernel) {
-  CHECK_EQ(x.rows(), 1u);
-  CHECK_EQ(kernel.rows(), 1u);
-  size_t n = x.cols();
-  size_t k = kernel.cols();
-  CHECK_EQ(k % 2, 1u) << "kernel width must be odd";
-  size_t half = k / 2;
-  Matrix out(1, n);
-  const float* xv = x.value().data();
-  const float* kv = kernel.value().data();
-  for (size_t j = 0; j < n; ++j) {
-    float acc = 0.0f;
-    for (size_t d = 0; d < k; ++d) {
-      int64_t idx = static_cast<int64_t>(j) + static_cast<int64_t>(d) -
-                    static_cast<int64_t>(half);
-      if (idx < 0 || idx >= static_cast<int64_t>(n)) continue;
-      acc += kv[d] * xv[idx];
-    }
-    out.data()[j] = acc;
-  }
-  Tensor t = Tensor::MakeOp(std::move(out), {x, kernel}, [n, k, half](Node& self) {
+  const size_t n = x.cols();
+  const size_t k = kernel.cols();
+  const size_t half = k / 2;
+  return Apply(OpKind::kConv1dSame, {x, kernel}, [n, k, half](Node& self) {
     Node& px = *self.parents[0];
     Node& pk = *self.parents[1];
     const float* g = self.grad.data();
@@ -603,8 +500,6 @@ Tensor Conv1dSame(const Tensor& x, const Tensor& kernel) {
       }
     }
   });
-  RecordOp(OpKind::kConv1dSame, t, {&x, &kernel});
-  return t;
 }
 
 Matrix SoftmaxValues(const Matrix& logits) {
@@ -624,13 +519,14 @@ Matrix SoftmaxValues(const Matrix& logits) {
   return probs;
 }
 
-float SigmoidValue(float x) {
-  if (x >= 0.0f) {
-    float e = std::exp(-x);
-    return 1.0f / (1.0f + e);
+float InverseSmoothedNorm(const float* v, size_t n) {
+  constexpr float kEps = 1e-6f;
+  double norm_sq = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    norm_sq += static_cast<double>(v[i]) * v[i];
   }
-  float e = std::exp(x);
-  return e / (1.0f + e);
+  float norm = static_cast<float>(std::sqrt(norm_sq + kEps));
+  return 1.0f / norm;
 }
 
 }  // namespace hisrect::nn

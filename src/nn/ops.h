@@ -1,6 +1,7 @@
 #ifndef HISRECT_NN_OPS_H_
 #define HISRECT_NN_OPS_H_
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -10,8 +11,11 @@
 namespace hisrect::nn {
 
 // All ops are pure graph builders: they compute the forward value eagerly and
-// register a backward closure on the returned tensor. Shapes are checked with
-// CHECKs (shape errors are programming errors, not runtime conditions).
+// register a backward closure on the returned tensor. Every op with a plan op
+// kind (graph_ir.h) computes its value with that kind's registry kernel and
+// CHECK-fails, naming the op, on operand shapes its shape function rejects
+// (shape errors are programming errors, not runtime conditions); while a
+// GraphRecorder is active it also records itself.
 
 /// (r x k) * (k x c) -> (r x c).
 Tensor MatMul(const Tensor& a, const Tensor& b);
@@ -103,8 +107,20 @@ Tensor Conv1dSame(const Tensor& x, const Tensor& kernel);
 /// Softmax of a (1 x C) row, numerically stabilized.
 Matrix SoftmaxValues(const Matrix& logits);
 
-/// Scalar sigmoid.
-float SigmoidValue(float x);
+/// Scalar sigmoid. Inline: the kSigmoid kernel calls it per element.
+inline float SigmoidValue(float x) {
+  if (x >= 0.0f) {
+    float e = std::exp(-x);
+    return 1.0f / (1.0f + e);
+  }
+  float e = std::exp(x);
+  return e / (1.0f + e);
+}
+
+/// 1 / sqrt(||v||^2 + 1e-6) for v of length n, with a double accumulator:
+/// the smoothed norm L2NormalizeRow divides by (it bounds the backward
+/// amplification for near-zero inputs instead of exploding).
+float InverseSmoothedNorm(const float* v, size_t n);
 
 }  // namespace hisrect::nn
 

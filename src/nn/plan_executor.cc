@@ -6,15 +6,56 @@
 
 namespace hisrect::nn {
 
-void PlanExecutor::Forward(const Graph& graph, PlanRun& run) {
+namespace {
+
+const float* BufferData(const Graph& graph, int32_t id, float* arena,
+                        const std::vector<const float*>& inputs) {
+  const BufferDesc& b = graph.buffers[id];
+  switch (b.kind) {
+    case BufferDesc::Kind::kArena:
+    case BufferDesc::Kind::kAux:
+      return arena + b.offset;
+    case BufferDesc::Kind::kParamValue:
+      return graph.params[b.ref]->value.data();
+    case BufferDesc::Kind::kInput:
+      return inputs[b.ref];
+    case BufferDesc::Kind::kConstant:
+      return graph.constants.data() + b.ref;
+  }
+  CHECK(false) << "unreachable buffer kind";
+  return nullptr;
+}
+
+}  // namespace
+
+void PlanExecutor::Forward(const Graph& graph, PlanRun& run,
+                           const InstrObserver& observe) {
   if (run.arena.size() < graph.arena_floats) {
     run.arena.resize(graph.arena_floats);  // grow-only; warmup cost
   }
   const std::vector<const float*>& inputs = run.inputs.Pointers();
   CHECK_EQ(inputs.size(), graph.num_inputs);
-  ExecState st{&graph, run.arena.data(), &inputs};
+  float* arena = run.arena.data();
   for (const Instr& ins : graph.instrs) {
-    GetOpSchema(ins.kind).forward(graph, ins, st);
+    run.operands.resize(ins.in.size());  // never shrinks capacity
+    for (size_t i = 0; i < ins.in.size(); ++i) {
+      const BufferDesc& b = graph.buffers[ins.in[i]];
+      run.operands[i] = {BufferData(graph, ins.in[i], arena, inputs), b.rows,
+                         b.cols};
+    }
+    const BufferDesc& out = graph.buffers[ins.out];
+    KernelArgs args;
+    args.in = run.operands.data();
+    args.num_in = ins.in.size();
+    args.out = arena + out.offset;
+    args.out_dims = {out.rows, out.cols};
+    if (ins.aux >= 0) args.aux = arena + graph.buffers[ins.aux].offset;
+    args.fattr = ins.fattr;
+    args.iattr0 = ins.iattr0;
+    args.iattr1 = ins.iattr1;
+    args.graph = &graph;
+    if (observe) observe(ins, args);
+    GetOpSchema(ins.kind).forward(args);
   }
 }
 

@@ -2,6 +2,7 @@
 #define HISRECT_NN_PLAN_EXECUTOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -85,15 +86,25 @@ class PlanInputs {
 struct PlanRun {
   std::vector<float> arena;
   PlanInputs inputs;
+  /// Per-instr resolved operands (grow-only scratch of PlanExecutor).
+  std::vector<Operand> operands;
 };
+
+/// Called before each instr's kernel with its resolved operands.
+using InstrObserver =
+    std::function<void(const Instr& instr, const KernelArgs& args)>;
 
 /// Replays a recorded, memory-planned Graph. All methods are static and
 /// re-entrant; all mutable state lives in PlanRun.
 class PlanExecutor {
  public:
-  /// Executes the program. Grows run.arena to the planned size on first use
-  /// (the only allocation; steady-state replays allocate nothing).
-  static void Forward(const Graph& graph, PlanRun& run);
+  /// Executes the program: resolves each instr's operands and runs its
+  /// registry kernel. Grows run.arena and run.operands on first use (the
+  /// only allocations; steady-state replays allocate nothing). `observe`,
+  /// when set, sees every instr's inputs right before its kernel overwrites
+  /// any arena slot (Calibrator).
+  static void Forward(const Graph& graph, PlanRun& run,
+                      const InstrObserver& observe = nullptr);
 
   /// The recorded output value (must be 1x1).
   static float OutputScalar(const Graph& graph, const PlanRun& run);

@@ -55,10 +55,11 @@ Tensor Tensor::MakeOp(Matrix value, std::vector<Tensor> parents,
   auto node = std::make_shared<Node>();
   node->value = std::move(value);
   node->parents.reserve(parents.size());
-  for (const Tensor& parent : parents) {
+  for (Tensor& parent : parents) {
     CHECK(parent.defined()) << "op parent is a null tensor";
-    node->parents.push_back(parent.node_);
     node->requires_grad = node->requires_grad || parent.requires_grad();
+    // `parents` is ours: moving the handles skips a refcount round trip.
+    node->parents.push_back(std::move(parent.node_));
   }
   if (node->requires_grad) node->backward = std::move(backward);
   return Tensor(std::move(node));

@@ -336,7 +336,9 @@ TEST(PlanRegistryTest, EveryOpKindIsRegistered) {
     EXPECT_STRNE(schema.name, "?") << "kind " << static_cast<int>(k);
     EXPECT_NE(schema.forward, nullptr) << schema.name;
     EXPECT_NE(schema.infer_shape, nullptr) << schema.name;
-    EXPECT_GE(schema.max_arity, schema.min_arity) << schema.name;
+    // Arity is part of shape inference: no kind accepts zero operands.
+    EXPECT_FALSE(schema.infer_shape(nn::KernelArgs{}).has_value())
+        << schema.name;
     EXPECT_TRUE(covered.count(kind))
         << schema.name << " has no eval-mode plan golden";
   }

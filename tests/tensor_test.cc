@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "nn/graph_ir.h"
+#include "nn/graph_recorder.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
@@ -278,6 +282,164 @@ TEST(OpsTest, L2NormalizeHandlesZeroVector) {
   EXPECT_FALSE(std::isnan(loss.value().At(0, 0)));
   loss.Backward();
   EXPECT_FALSE(std::isnan(x.grad().At(0, 0)));
+}
+
+// ---------------------------------------------------------------------------
+// Forward values against hand-computed expectations, one case per
+// recordable op kind. The tape and plan replay share one registry kernel,
+// so the plan goldens compare that kernel with itself; this table is the
+// independent reference. Each case also records itself to prove it
+// exercises the op kind it names. The fused kinds keep their reference in
+// fusion_test (the unfused composition).
+// ---------------------------------------------------------------------------
+
+struct ForwardCase {
+  OpKind kind;
+  std::function<Tensor()> run;
+  size_t rows;
+  size_t cols;
+  std::vector<float> expected;
+};
+
+Tensor M(size_t rows, size_t cols, std::vector<float> values) {
+  return Tensor::FromMatrix(Matrix(rows, cols, std::move(values)));
+}
+
+Tensor Row(std::vector<float> values) {
+  return Tensor::RowVector(std::move(values));
+}
+
+std::vector<ForwardCase> ForwardCases() {
+  return {
+      {OpKind::kMatMul,
+       [] {
+         return MatMul(M(2, 2, {1, 2, 3, 4}), M(2, 3, {5, 6, 7, 8, 9, 10}));
+       },
+       2, 3, {21, 24, 27, 47, 54, 61}},
+      {OpKind::kAdd, [] { return Add(Row({1, 2, 3}), Row({0.5f, -1, 4})); },
+       1, 3, {1.5f, 1, 7}},
+      {OpKind::kSub, [] { return Sub(Row({1, 2, 3}), Row({0.5f, -1, 4})); },
+       1, 3, {0.5f, 3, -1}},
+      {OpKind::kMul, [] { return Mul(Row({1, 2, 3}), Row({0.5f, -1, 4})); },
+       1, 3, {0.5f, -2, 12}},
+      {OpKind::kAddBroadcastRow,
+       [] { return AddBroadcastRow(M(2, 2, {1, 2, 3, 4}), Row({10, 20})); },
+       2, 2, {11, 22, 13, 24}},
+      {OpKind::kMulBroadcastRow,
+       [] { return MulBroadcastRow(M(2, 2, {1, 2, 3, 4}), Row({10, -1})); },
+       2, 2, {10, -2, 30, -4}},
+      {OpKind::kScale, [] { return Scale(Row({1, -2, 3}), 0.5f); }, 1, 3,
+       {0.5f, -1, 1.5f}},
+      {OpKind::kRelu, [] { return Relu(Row({-1, 0, 2})); }, 1, 3, {0, 0, 2}},
+      // tanh(1) = 0.76159416, sigmoid(2) = 0.88079708.
+      {OpKind::kTanh, [] { return Tanh(Row({0, 1, -1})); }, 1, 3,
+       {0, 0.76159416f, -0.76159416f}},
+      {OpKind::kSigmoid, [] { return Sigmoid(Row({0, 2, -2})); }, 1, 3,
+       {0.5f, 0.88079708f, 0.11920292f}},
+      {OpKind::kAbs, [] { return Abs(Row({-1.5f, 0, 2})); }, 1, 3,
+       {1.5f, 0, 2}},
+      {OpKind::kConcatCols,
+       [] { return ConcatCols(M(2, 1, {1, 2}), M(2, 2, {3, 4, 5, 6})); }, 2,
+       3, {1, 3, 4, 2, 5, 6}},
+      {OpKind::kSliceCols,
+       [] { return SliceCols(M(2, 4, {1, 2, 3, 4, 5, 6, 7, 8}), 1, 2); }, 2,
+       2, {2, 3, 6, 7}},
+      {OpKind::kSliceRows,
+       [] { return SliceRows(M(3, 2, {1, 2, 3, 4, 5, 6}), 1, 2); }, 2, 2,
+       {3, 4, 5, 6}},
+      {OpKind::kRowStack,
+       [] { return RowStack({Row({1, 2}), Row({3, 4}), Row({5, 6})}); }, 3, 2,
+       {1, 2, 3, 4, 5, 6}},
+      {OpKind::kMeanRows, [] { return MeanRows(M(2, 2, {1, 2, 3, 6})); }, 1,
+       2, {2, 4}},
+      {OpKind::kSumAll, [] { return SumAll(M(2, 2, {1, 2, 3, 4})); }, 1, 1,
+       {10}},
+      // Smoothed norm sqrt(25 + 1e-6) differs from 5 by 1e-7.
+      {OpKind::kL2NormalizeRow, [] { return L2NormalizeRow(Row({3, 4})); }, 1,
+       2, {0.6f, 0.8f}},
+      {OpKind::kDot, [] { return Dot(Row({1, 2, 3}), Row({4, 5, 6})); }, 1, 1,
+       {32}},
+      // y[j] = x[j-1] + 2 x[j] + 3 x[j+1], zero padded.
+      {OpKind::kConv1dSame,
+       [] { return Conv1dSame(Row({1, 2, 3, 4}), Row({1, 2, 3})); }, 1, 4,
+       {8, 14, 20, 11}},
+  };
+}
+
+TEST(OpsTest, ForwardMatchesHandComputedValues) {
+  std::set<OpKind> covered;
+  for (const ForwardCase& c : ForwardCases()) {
+    const char* name = GetOpSchema(c.kind).name;
+    GraphRecorder recorder;
+    Tensor y = c.run();
+    std::shared_ptr<const Graph> plan = recorder.Finish(y);
+    ASSERT_FALSE(plan->instrs.empty()) << name;
+    EXPECT_EQ(plan->instrs.back().kind, c.kind) << name;
+    covered.insert(c.kind);
+    ASSERT_EQ(y.rows(), c.rows) << name;
+    ASSERT_EQ(y.cols(), c.cols) << name;
+    for (size_t i = 0; i < c.expected.size(); ++i) {
+      const float e = c.expected[i];
+      EXPECT_NEAR(y.value().data()[i], e, 1e-6f * std::max(1.0f, std::fabs(e)))
+          << name << " element " << i;
+    }
+  }
+  for (uint8_t k = 0; k <= static_cast<uint8_t>(OpKind::kConv1dSame); ++k) {
+    EXPECT_TRUE(covered.count(static_cast<OpKind>(k)))
+        << GetOpSchema(static_cast<OpKind>(k)).name << " has no forward case";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shape rejection: each eager op CHECK-fails, naming itself, on operand
+// shapes its registry shape function rejects.
+// ---------------------------------------------------------------------------
+
+TEST(OpsDeathTest, RejectsInvalidShapes) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Tensor r2 = Row({1, 2});
+  const Tensor r3 = Row({1, 2, 3});
+  const Tensor m22 = M(2, 2, {1, 2, 3, 4});
+  const Tensor m23 = M(2, 3, {1, 2, 3, 4, 5, 6});
+  const Tensor m14 = Row({1, 2, 3, 4});
+  EXPECT_DEATH(MatMul(m23, m23), "MatMul: invalid operand shapes");
+  EXPECT_DEATH(Add(r2, r3), "Add: invalid operand shapes");
+  EXPECT_DEATH(Sub(m22, r2), "Sub: invalid operand shapes");
+  EXPECT_DEATH(Mul(r3, M(3, 1, {1, 2, 3})), "Mul: invalid operand shapes");
+  EXPECT_DEATH(AddBroadcastRow(m22, m22),
+               "AddBroadcastRow: invalid operand shapes");
+  EXPECT_DEATH(MulBroadcastRow(m23, r2),
+               "MulBroadcastRow: invalid operand shapes");
+  EXPECT_DEATH(Dot(m22, m22), "Dot: invalid operand shapes");
+  EXPECT_DEATH(Dot(r2, r3), "Dot: invalid operand shapes");
+  EXPECT_DEATH(SliceCols(m14, 3, 2), "SliceCols: invalid operand shapes");
+  EXPECT_DEATH(SliceRows(m22, 1, 2), "SliceRows: invalid operand shapes");
+  // Starts of 2^32 and beyond must not wrap into range.
+  EXPECT_DEATH(SliceCols(m14, size_t{1} << 32, 0),
+               "SliceCols: invalid operand shapes");
+  EXPECT_DEATH(SliceRows(m22, size_t{1} << 32, 1),
+               "SliceRows: invalid operand shapes");
+  EXPECT_DEATH(SliceCols(m14, 1, SIZE_MAX),
+               "SliceCols: invalid operand shapes");
+  EXPECT_DEATH(RowStack({}), "RowStack: invalid operand shapes");
+  EXPECT_DEATH(RowStack({r2, m22}), "RowStack: invalid operand shapes");
+  EXPECT_DEATH(Conv1dSame(m14, r2), "Conv1dSame: invalid operand shapes");
+  EXPECT_DEATH(L2NormalizeRow(m22), "L2NormalizeRow: invalid operand shapes");
+}
+
+TEST(OpsTest, EmptyShapesAreValid) {
+  // Zero-extent shapes, 0x0 included, are results, not shape failures.
+  EXPECT_EQ(SliceCols(M(2, 3, {1, 2, 3, 4, 5, 6}), 3, 0).cols(), 0u);
+  EXPECT_EQ(SliceRows(M(2, 3, {1, 2, 3, 4, 5, 6}), 0, 0).rows(), 0u);
+  Tensor none = MatMul(M(0, 2, {}), M(2, 0, {}));
+  EXPECT_EQ(none.rows(), 0u);
+  EXPECT_EQ(none.cols(), 0u);
+  Tensor empty = MatMul(M(2, 0, {}), M(0, 3, {}));
+  ASSERT_EQ(empty.rows(), 2u);
+  ASSERT_EQ(empty.cols(), 3u);
+  for (size_t i = 0; i < empty.value().size(); ++i) {
+    EXPECT_EQ(empty.value().data()[i], 0.0f);
+  }
 }
 
 }  // namespace

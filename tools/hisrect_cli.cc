@@ -40,10 +40,15 @@
 // registry at exit. All three are off by default and add no hot-path cost
 // when off; the trained parameters are bitwise-identical either way. See
 // DESIGN.md §9.
+//
+// Numeric flags are parsed strictly (util/flags.h): a negative,
+// non-numeric, trailing-junk or out-of-range value exits 2 with a message.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "core/hisrect_model.h"
 #include "core/text_model.h"
@@ -54,6 +59,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/fail_point.h"
+#include "util/flags.h"
 #include "util/status.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -123,6 +129,15 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    // Strict numeric values (util/flags.h): a bad one fails the parse.
+    auto count = [&](uint64_t min, uint64_t max, auto* out) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      std::optional<uint64_t> n =
+          util::ParseUintFlag("hisrect_cli", arg, v, min, max);
+      if (n) *out = static_cast<std::remove_pointer_t<decltype(out)>>(*n);
+      return n.has_value();
+    };
     if (arg == "--preset") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -130,43 +145,34 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--scale") {
       const char* v = next();
       if (v == nullptr) return false;
-      options.scale = std::atof(v);
+      std::optional<double> scale =
+          util::ParsePositiveFlag("hisrect_cli", arg, v, util::kMaxScaleFlag);
+      if (!scale) return false;
+      options.scale = *scale;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.seed = static_cast<uint64_t>(std::atoll(v));
+      if (!count(0, UINT64_MAX, &options.seed)) return false;
     } else if (arg == "--ssl-steps") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.ssl_steps = static_cast<size_t>(std::atoll(v));
+      if (!count(0, util::kMaxCountFlag, &options.ssl_steps)) return false;
     } else if (arg == "--judge-steps") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.judge_steps = static_cast<size_t>(std::atoll(v));
+      if (!count(0, util::kMaxCountFlag, &options.judge_steps)) return false;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.threads = static_cast<size_t>(std::atoll(v));
+      if (!count(0, util::kMaxThreadsFlag, &options.threads)) return false;
     } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.shards = static_cast<size_t>(std::atoll(v));
+      if (!count(0, util::kMaxThreadsFlag, &options.shards)) return false;
     } else if (arg == "--pipeline-shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.pipeline_shards = static_cast<size_t>(std::atoll(v));
+      if (!count(0, util::kMaxThreadsFlag, &options.pipeline_shards)) {
+        return false;
+      }
     } else if (arg == "--checkpoint-dir") {
       const char* v = next();
       if (v == nullptr) return false;
       options.checkpoint_dir = v;
     } else if (arg == "--checkpoint-every") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.checkpoint_every = static_cast<size_t>(std::atoll(v));
+      if (!count(0, util::kMaxCountFlag, &options.checkpoint_every)) {
+        return false;
+      }
     } else if (arg == "--keep-last") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.keep_last = static_cast<size_t>(std::atoll(v));
+      if (!count(0, util::kMaxCountFlag, &options.keep_last)) return false;
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--plan") {

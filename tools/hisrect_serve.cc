@@ -45,7 +45,6 @@
 // "draining" when the graceful shutdown begins. Successful SIGHUP reloads
 // increment `hisrect.serve.reloads`.
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -54,8 +53,10 @@
 #include <filesystem>
 #include <future>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -69,6 +70,7 @@
 #include "serve/model_registry.h"
 #include "serve/shard_router.h"
 #include "util/fail_point.h"
+#include "util/flags.h"
 #include "util/status.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -152,29 +154,14 @@ int Invalid(const std::string& message) {
   return Usage();
 }
 
-/// Parses a --deadline-ms value: a non-negative integer whose deadline, in
-/// steady-clock nanoseconds, is representable. Anything else — negative,
-/// non-numeric, trailing junk, or large enough that `ms * 1000` microseconds
-/// overflows the clock — is rejected with a message.
-bool ParseDeadlineMs(const char* text, uint64_t* out) {
-  constexpr long long kMaxDeadlineMs =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::duration::max())
-          .count();
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < 0 ||
-      value > kMaxDeadlineMs) {
-    std::fprintf(stderr,
-                 "hisrect_serve: --deadline-ms must be an integer in [0, "
-                 "%lld], got '%s'\n",
-                 kMaxDeadlineMs, text);
-    return false;
-  }
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
+// Upper bounds of the time flags. A deadline must stay representable in
+// steady-clock nanoseconds once converted to microseconds.
+constexpr uint64_t kMaxWaitUs = 60'000'000;        // one minute
+constexpr uint64_t kMaxLingerMs = 86'400'000;      // one day
+constexpr uint64_t kMaxDeadlineMs =
+    std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::duration::max())
+        .count();
 
 bool ParseArgs(int argc, char** argv, ServeCliOptions& options) {
   for (int i = 1; i < argc; ++i) {
@@ -182,25 +169,33 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions& options) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    // Strict numeric values (util/flags.h): a bad one fails the parse.
+    auto count = [&](uint64_t min, uint64_t max, auto* out) {
+      const char* text = next();
+      if (text == nullptr) return false;
+      std::optional<uint64_t> n =
+          util::ParseUintFlag("hisrect_serve", arg, text, min, max);
+      if (n) *out = static_cast<std::remove_pointer_t<decltype(out)>>(*n);
+      return n.has_value();
+    };
     const char* v = nullptr;
     if (arg == "--preset") {
       if ((v = next()) == nullptr) return false;
       options.preset = v;
     } else if (arg == "--scale") {
       if ((v = next()) == nullptr) return false;
-      options.scale = std::atof(v);
+      std::optional<double> scale =
+          util::ParsePositiveFlag("hisrect_serve", arg, v, util::kMaxScaleFlag);
+      if (!scale) return false;
+      options.scale = *scale;
     } else if (arg == "--seed") {
-      if ((v = next()) == nullptr) return false;
-      options.seed = static_cast<uint64_t>(std::atoll(v));
+      if (!count(0, UINT64_MAX, &options.seed)) return false;
     } else if (arg == "--ssl-steps") {
-      if ((v = next()) == nullptr) return false;
-      options.ssl_steps = static_cast<size_t>(std::atoll(v));
+      if (!count(0, util::kMaxCountFlag, &options.ssl_steps)) return false;
     } else if (arg == "--judge-steps") {
-      if ((v = next()) == nullptr) return false;
-      options.judge_steps = static_cast<size_t>(std::atoll(v));
+      if (!count(0, util::kMaxCountFlag, &options.judge_steps)) return false;
     } else if (arg == "--threads") {
-      if ((v = next()) == nullptr) return false;
-      options.threads = static_cast<size_t>(std::atoll(v));
+      if (!count(0, util::kMaxThreadsFlag, &options.threads)) return false;
     } else if (arg == "--model") {
       if ((v = next()) == nullptr) return false;
       options.model_path = v;
@@ -208,26 +203,21 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions& options) {
       if ((v = next()) == nullptr) return false;
       options.registry_dir = v;
     } else if (arg == "--batch-size") {
-      if ((v = next()) == nullptr) return false;
-      options.batch_size = static_cast<size_t>(std::atoll(v));
+      if (!count(1, util::kMaxCountFlag, &options.batch_size)) return false;
     } else if (arg == "--max-wait-us") {
-      if ((v = next()) == nullptr) return false;
-      options.max_wait_us = static_cast<uint64_t>(std::atoll(v));
+      if (!count(0, kMaxWaitUs, &options.max_wait_us)) return false;
     } else if (arg == "--max-queue") {
-      if ((v = next()) == nullptr) return false;
-      options.max_queue = static_cast<size_t>(std::atoll(v));
+      if (!count(1, util::kMaxCountFlag, &options.max_queue)) return false;
     } else if (arg == "--max-batch-queue") {
-      if ((v = next()) == nullptr) return false;
-      options.max_batch_queue = static_cast<size_t>(std::atoll(v));
+      if (!count(1, util::kMaxCountFlag, &options.max_batch_queue)) {
+        return false;
+      }
     } else if (arg == "--cache-capacity") {
-      if ((v = next()) == nullptr) return false;
-      options.cache_capacity = static_cast<size_t>(std::atoll(v));
+      if (!count(1, util::kMaxCountFlag, &options.cache_capacity)) return false;
     } else if (arg == "--requests") {
-      if ((v = next()) == nullptr) return false;
-      options.requests = static_cast<size_t>(std::atoll(v));
+      if (!count(1, util::kMaxCountFlag, &options.requests)) return false;
     } else if (arg == "--deadline-ms") {
-      if ((v = next()) == nullptr) return false;
-      if (!ParseDeadlineMs(v, &options.deadline_ms)) return false;
+      if (!count(0, kMaxDeadlineMs, &options.deadline_ms)) return false;
     } else if (arg == "--priority") {
       if ((v = next()) == nullptr) return false;
       options.priority = v;
@@ -238,14 +228,11 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions& options) {
       if ((v = next()) == nullptr) return false;
       options.failpoints = v;
     } else if (arg == "--admin-port") {
-      if ((v = next()) == nullptr) return false;
-      options.admin_port = std::atoi(v);
+      if (!count(0, 65535, &options.admin_port)) return false;
     } else if (arg == "--linger-ms") {
-      if ((v = next()) == nullptr) return false;
-      options.linger_ms = static_cast<uint64_t>(std::atoll(v));
+      if (!count(0, kMaxLingerMs, &options.linger_ms)) return false;
     } else if (arg == "--router-shards") {
-      if ((v = next()) == nullptr) return false;
-      options.router_shards = static_cast<size_t>(std::atoll(v));
+      if (!count(1, 64, &options.router_shards)) return false;
     } else if (arg == "--plan") {
       options.plan = true;
     } else if (arg == "--fuse") {
@@ -267,27 +254,9 @@ int Validate(const ServeCliOptions& options) {
     return Invalid("--preset must be 'nyc' or 'lv', got '" + options.preset +
                    "'");
   }
-  if (!(options.scale > 0.0)) {
-    return Invalid("--scale must be > 0");
-  }
-  if (options.batch_size == 0) return Invalid("--batch-size must be >= 1");
-  if (options.max_queue == 0) return Invalid("--max-queue must be >= 1");
-  if (options.max_batch_queue == 0) {
-    return Invalid("--max-batch-queue must be >= 1");
-  }
-  if (options.cache_capacity == 0) {
-    return Invalid("--cache-capacity must be >= 1");
-  }
-  if (options.requests == 0) return Invalid("--requests must be >= 1");
   if (options.priority != "interactive" && options.priority != "batch") {
     return Invalid("--priority must be 'interactive' or 'batch', got '" +
                    options.priority + "'");
-  }
-  if (options.admin_port > 65535) {
-    return Invalid("--admin-port must be in [0, 65535]");
-  }
-  if (options.router_shards == 0 || options.router_shards > 64) {
-    return Invalid("--router-shards must be in [1, 64]");
   }
   if (!options.model_path.empty() && !options.registry_dir.empty()) {
     return Invalid("--model and --registry-dir are mutually exclusive");

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Sanitizer smoke run: builds the tree under each requested sanitizer and
-# runs the matching test label. ASan and UBSan run the robustness and plan
-# suites — the checkpoint/resume and fault-injection paths exercise raw byte
-# I/O, partial writes, and injected corruption, the recorded-plan executor
-# indexes raw arena offsets computed by the memory planner, and request
+# runs the matching test label. ASan and UBSan run the robustness, plan and
+# kernels suites — the checkpoint/resume and fault-injection paths exercise
+# raw byte I/O, partial writes, and injected corruption, the recorded-plan
+# executor indexes raw arena offsets computed by the memory planner, the
+# registry kernels both paths share index raw operand pointers (tensor_test
+# drives each one eagerly, with its shape rejections), and request
 # admission rejects deadlines whose arithmetic would overflow — exactly
 # where memory and UB bugs like to hide. TSan runs the obs and serve suites —
 # the metrics registry, trace ring buffers, and telemetry sink are written
@@ -24,7 +26,8 @@
 #                (default: all three)
 #   BUILD_ROOT   prefix for the build trees (default: build-san)
 #   CTEST_LABEL  ctest -L selector override; empty picks per-sanitizer
-#                defaults (robustness|plan|fusion|quant for address/undefined,
+#                defaults (robustness|plan|fusion|quant|kernels for
+#                address/undefined,
 #                obs|serve|fusion|router for thread)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,7 +39,7 @@ CTEST_LABEL=${CTEST_LABEL:-}
 label_for() {
   case "$1" in
     thread) echo "obs|serve|fusion|router" ;;  # ctest -L takes a regex
-    *) echo "robustness|plan|fusion|quant" ;;
+    *) echo "robustness|plan|fusion|quant|kernels" ;;
   esac
 }
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/shard_step.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
@@ -33,12 +34,10 @@ struct LabeledPair {
   float label;
 };
 
-/// One data-parallel worker: replica modules whose parameter list mirrors
-/// the shared optimizer parameter list (same names, same order).
+/// One data-parallel replica of the trained modules.
 struct JudgeWorker {
   std::unique_ptr<JudgeHead> judge;
   std::unique_ptr<HisRectFeaturizer> featurizer;  // Only when trained.
-  std::vector<nn::NamedParameter> params;
 };
 
 }  // namespace
@@ -75,6 +74,16 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
     featurizer_->CollectParameters("featurizer", params);
   }
   nn::Adam optimizer(params, options_.adam);
+
+  // Profiles a batch can draw: both ends of every labeled pair.
+  std::vector<bool> drawable(encoded.size(), false);
+  for (const std::vector<data::Pair>* pairs :
+       {&split.positive_pairs, &split.negative_pairs}) {
+    for (const data::Pair& pair : *pairs) {
+      drawable[pair.i] = true;
+      drawable[pair.j] = true;
+    }
+  }
 
   // Per-epoch pool: all positives + subsampled negatives.
   std::vector<LabeledPair> pool;
@@ -230,10 +239,11 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
                                      std::to_string(i) + " at offset " +
                                      std::to_string(pr.offset()));
       }
-      if (pi >= encoded.size() || pj >= encoded.size()) {
+      if (pi >= encoded.size() || pj >= encoded.size() || !drawable[pi] ||
+          !drawable[pj]) {
         return util::Status::InvalidArgument(
             source + ": pool entry " + std::to_string(i) +
-            " references profile out of range");
+            " references a profile outside the labeled pairs");
       }
       saved_pool.push_back(LabeledPair{static_cast<size_t>(pi),
                                        static_cast<size_t>(pj), label});
@@ -272,40 +282,43 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
   util::Status status = checkpointer.Start(explicit_resume, &resumed);
   if (!status.ok()) return status;
 
-  // ---- Data-parallel machinery (num_shards > 1 only) ----
-  util::ThreadPool& thread_pool = util::ThreadPool::Global();
+  // ---- Data-parallel machinery ----
   std::vector<nn::Matrix> feature_cache;
-  std::vector<JudgeWorker> workers;
+  std::vector<JudgeWorker> workers(num_shards);
+  std::vector<std::vector<nn::NamedParameter>> replica_params(num_shards);
   std::vector<LabeledPair> batch(batch_size);
   std::vector<util::Rng> sample_rngs;
-  std::vector<float> shard_losses(num_shards);
-  // Two-phase training keeps Theta_F fixed, so every profile's feature is
-  // step-invariant: compute each one once up front (in parallel) and feed
-  // the judge detached constants. This also keeps worker backward passes
-  // off the shared featurizer gradients entirely.
-  if (num_shards > 1 && !options_.train_featurizer) {
+  // Two-phase training keeps Theta_F fixed, so every drawable profile's
+  // feature is step-invariant: compute each one once up front (in parallel,
+  // eval mode) and feed the judge detached constants. No backward pass ever
+  // reaches the featurizer.
+  if (!options_.train_featurizer) {
+    std::vector<size_t> cached;
+    for (size_t i = 0; i < encoded.size(); ++i) {
+      if (drawable[i]) cached.push_back(i);
+    }
     feature_cache.resize(encoded.size());
-    util::ParallelFor(thread_pool, encoded.size(),
-                      thread_pool.num_threads(),
+    util::ThreadPool& thread_pool = util::ThreadPool::Global();
+    util::ParallelFor(thread_pool, cached.size(), thread_pool.num_threads(),
                       [&](size_t, size_t begin, size_t end) {
-                        for (size_t i = begin; i < end; ++i) {
-                          feature_cache[i] =
-                              featurizer_->Featurize(encoded[i]).value();
+                        for (size_t c = begin; c < end; ++c) {
+                          feature_cache[cached[c]] =
+                              featurizer_->Featurize(encoded[cached[c]])
+                                  .value();
                         }
                       });
   }
-  if (num_shards > 1) {
-    workers.resize(num_shards);
-    for (JudgeWorker& worker : workers) {
-      worker.judge = judge_->Clone();
-      worker.judge->CollectParameters("judge", worker.params);
-      if (options_.train_featurizer) {
-        worker.featurizer = featurizer_->Clone();
-        worker.featurizer->CollectParameters("featurizer", worker.params);
-      }
+  for (size_t shard = 0; shard < num_shards; ++shard) {
+    JudgeWorker& worker = workers[shard];
+    worker.judge = judge_->Clone();
+    worker.judge->CollectParameters("judge", replica_params[shard]);
+    if (options_.train_featurizer) {
+      worker.featurizer = featurizer_->Clone();
+      worker.featurizer->CollectParameters("featurizer",
+                                           replica_params[shard]);
     }
-    optimizer.ZeroGrad();
   }
+  optimizer.ZeroGrad();
 
   // Telemetry: decile "epoch" windows over the step budget. Pure observers —
   // reads of losses/params only, no RNG draws — so the trained trajectory is
@@ -321,86 +334,41 @@ util::Status JudgeTrainer::Train(const std::vector<EncodedProfile>& encoded,
   while (step < options_.steps) {
     HISRECT_TRACE_SPAN("judge.step");
     obs::ScopedTimer step_timer(step_seconds);
-    double loss_value = 0.0;
-    if (num_shards <= 1) {
-      // Serial single-tape path (bit-compatible with the original trainer).
-      nn::Tensor loss;
-      for (size_t b = 0; b < batch_size; ++b) {
-        LabeledPair pair = next_pair();
-        // Theta_F fixed in the two-phase approach: featurize in eval mode so
-        // no featurizer dropout perturbs the fixed features.
-        bool featurizer_training = options_.train_featurizer;
-        nn::Tensor fi =
-            featurizer_->Featurize(encoded[pair.i], rng, featurizer_training);
-        nn::Tensor fj =
-            featurizer_->Featurize(encoded[pair.j], rng, featurizer_training);
-        nn::Tensor logit = judge_->CoLocationLogit(fi, fj, rng, true);
-        nn::Tensor sample_loss =
-            nn::SigmoidBinaryCrossEntropy(logit, pair.label);
-        loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-      }
-      loss = nn::Scale(loss, inv_batch);
-      loss.Backward();
-      loss_value = loss.value().At(0, 0);
-    } else {
-      // All stochastic decisions happen on the coordinating thread, in
-      // sample order: pool draws and one forked RNG stream per sample.
-      // Workers never touch the trainer RNG, so the trajectory is a function
-      // of (seed, num_shards) only.
-      sample_rngs.clear();
-      for (size_t b = 0; b < batch_size; ++b) {
-        batch[b] = next_pair();
-        sample_rngs.push_back(rng.Fork());
-      }
-      for (JudgeWorker& worker : workers) {
-        nn::CopyParameterValues(*judge_, *worker.judge);
-        if (worker.featurizer != nullptr) {
-          nn::CopyParameterValues(*featurizer_, *worker.featurizer);
-        }
-      }
-
-      util::ParallelFor(
-          thread_pool, batch_size, num_shards,
-          [&](size_t shard, size_t begin, size_t end) {
-            JudgeWorker& worker = workers[shard];
-            nn::Tensor loss;
-            for (size_t b = begin; b < end; ++b) {
-              const LabeledPair& pair = batch[b];
-              util::Rng& sample_rng = sample_rngs[b];
-              nn::Tensor fi, fj;
-              if (worker.featurizer != nullptr) {
-                fi = worker.featurizer->Featurize(encoded[pair.i], sample_rng,
-                                                  true);
-                fj = worker.featurizer->Featurize(encoded[pair.j], sample_rng,
-                                                  true);
-              } else {
-                fi = nn::Tensor::FromMatrix(feature_cache[pair.i]);
-                fj = nn::Tensor::FromMatrix(feature_cache[pair.j]);
-              }
-              nn::Tensor logit =
-                  worker.judge->CoLocationLogit(fi, fj, sample_rng, true);
-              nn::Tensor sample_loss =
-                  nn::SigmoidBinaryCrossEntropy(logit, pair.label);
-              loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-            }
-            loss = nn::Scale(loss, inv_batch);
-            loss.Backward();
-            shard_losses[shard] = loss.value().At(0, 0);
-          });
-
-      // Fixed-order reduction: shard 0 first, then 1, ... — the float sums
-      // are associated identically no matter which threads ran the shards.
-      for (size_t shard = 0; shard < num_shards; ++shard) {
-        loss_value += shard_losses[shard];
-        std::vector<nn::NamedParameter>& worker_params = workers[shard].params;
-        CHECK_EQ(worker_params.size(), params.size());
-        for (size_t p = 0; p < params.size(); ++p) {
-          params[p].tensor.mutable_grad().AddScaled(
-              worker_params[p].tensor.grad(), 1.0f);
-          worker_params[p].tensor.ZeroGrad();
-        }
+    // All stochastic decisions happen on the coordinating thread, in sample
+    // order: pool draws and one forked RNG stream per sample. Workers never
+    // touch the trainer RNG, so the trajectory is a function of
+    // (seed, num_shards) only.
+    sample_rngs.clear();
+    for (size_t b = 0; b < batch_size; ++b) {
+      batch[b] = next_pair();
+      sample_rngs.push_back(rng.Fork());
+    }
+    for (JudgeWorker& worker : workers) {
+      nn::CopyParameterValues(*judge_, *worker.judge);
+      if (worker.featurizer != nullptr) {
+        nn::CopyParameterValues(*featurizer_, *worker.featurizer);
       }
     }
+    const double loss_value = RunShardStep(
+        params, replica_params, batch_size, inv_batch,
+        [&](size_t shard, size_t b) {
+          const JudgeWorker& worker = workers[shard];
+          const LabeledPair& pair = batch[b];
+          util::Rng& sample_rng = sample_rngs[b];
+          nn::Tensor fi, fj;
+          if (worker.featurizer != nullptr) {
+            fi = worker.featurizer->Featurize(encoded[pair.i], sample_rng,
+                                              true);
+            fj = worker.featurizer->Featurize(encoded[pair.j], sample_rng,
+                                              true);
+          } else {
+            fi = nn::Tensor::FromMatrix(feature_cache[pair.i]);
+            fj = nn::Tensor::FromMatrix(feature_cache[pair.j]);
+          }
+          nn::Tensor logit =
+              worker.judge->CoLocationLogit(fi, fj, sample_rng, true);
+          return nn::SigmoidBinaryCrossEntropy(logit, pair.label);
+        });
 
     if (util::FailPoint::ShouldFail("trainer.nan_grad")) {
       params.front().tensor.mutable_grad().data()[0] =

@@ -24,13 +24,13 @@ struct JudgeTrainerOptions {
   /// jointly with E' and C on L_co (no separate HisRect feature training).
   /// false is the paper's two-phase approach (Theta_F fixed).
   bool train_featurizer = false;
-  /// Data-parallel gradient shards per step. > 1 splits each minibatch into
+  /// Data-parallel gradient shards per step. Each minibatch splits into
   /// this many fixed shards executed on the global thread pool; every shard
   /// backpropagates through its own replica tape and the shard gradients
   /// are reduced into the shared parameters in shard order before a single
   /// Adam step. Results depend only on this value (and the seed), never on
-  /// how many pool threads actually run the shards. <= 1 keeps the serial
-  /// single-tape path.
+  /// how many pool threads actually run the shards. 0 and 1 both mean one
+  /// replica, run inline on the calling thread.
   size_t num_shards = 1;
   nn::AdamOptions adam;
   /// Checkpoint/resume and NaN-divergence policy (prefix "judge").

@@ -8,6 +8,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/shard_step.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
@@ -18,7 +19,6 @@
 #include "util/binio.h"
 #include "util/fail_point.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace hisrect::core {
 
@@ -27,14 +27,11 @@ namespace {
 /// Discriminates trainer checkpoints inside the shared HRCT2 "meta" section.
 constexpr uint32_t kSslCheckpointKind = 2;
 
-/// One data-parallel worker: replica modules plus parameter lists mirroring
-/// the two shared optimizer lists (same names, same order).
+/// One data-parallel replica of the trained modules.
 struct SslWorker {
   std::unique_ptr<HisRectFeaturizer> featurizer;
   std::unique_ptr<PoiClassifier> classifier;
   std::unique_ptr<Embedder> embedder;  // Only when use_embedding.
-  std::vector<nn::NamedParameter> poi_params;
-  std::vector<nn::NamedParameter> unsup_params;
 };
 
 }  // namespace
@@ -366,28 +363,58 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
   util::Status status = checkpointer.Start(explicit_resume, &resumed);
   if (!status.ok()) return status;
 
-  // Per-sample graph builders shared by the serial and parallel paths.
-  // `featurizer`/`classifier`/`embedder` are the module set the sample's
-  // tape is attached to (shared modules or a worker replica).
-  auto poi_sample_loss = [&](const HisRectFeaturizer& featurizer,
-                             const PoiClassifier& classifier, size_t index,
-                             util::Rng& sample_rng) {
-    const EncodedProfile& profile = encoded[index];
-    nn::Tensor feature = featurizer.Featurize(profile, sample_rng, true);
-    nn::Tensor logits = classifier.Logits(feature, sample_rng, true);
+  // ---- Data-parallel machinery ----
+  // Replica parameter lists mirror the two shared optimizer lists (same
+  // names, same order).
+  std::vector<SslWorker> workers(num_shards);
+  std::vector<std::vector<nn::NamedParameter>> replica_poi_params(num_shards);
+  std::vector<std::vector<nn::NamedParameter>> replica_unsup_params(
+      num_shards);
+  std::vector<size_t> poi_batch(batch_size);
+  std::vector<WeightedPair> pair_batch(batch_size);
+  std::vector<util::Rng> sample_rngs;
+  for (size_t shard = 0; shard < num_shards; ++shard) {
+    SslWorker& worker = workers[shard];
+    worker.featurizer = featurizer_->Clone();
+    worker.classifier = classifier_->Clone();
+    worker.featurizer->CollectParameters("featurizer",
+                                         replica_poi_params[shard]);
+    worker.classifier->CollectParameters("classifier",
+                                         replica_poi_params[shard]);
+    worker.featurizer->CollectParameters("featurizer",
+                                         replica_unsup_params[shard]);
+    if (options_.use_embedding) {
+      worker.embedder = embedder_->Clone();
+      worker.embedder->CollectParameters("embedder",
+                                         replica_unsup_params[shard]);
+    }
+  }
+  poi_optimizer.ZeroGrad();
+  unsup_optimizer.ZeroGrad();
+
+  // Per-sample losses on the tape of replica `shard`, for batch entry `b`.
+  auto poi_sample_loss = [&](size_t shard, size_t b) {
+    const SslWorker& worker = workers[shard];
+    const EncodedProfile& profile = encoded[poi_batch[b]];
+    util::Rng& sample_rng = sample_rngs[b];
+    nn::Tensor feature =
+        worker.featurizer->Featurize(profile, sample_rng, true);
+    nn::Tensor logits = worker.classifier->Logits(feature, sample_rng, true);
     return nn::SoftmaxCrossEntropy(logits, static_cast<size_t>(profile.pid));
   };
-  auto unsup_sample_loss = [&](const HisRectFeaturizer& featurizer,
-                               const Embedder* embedder,
-                               const WeightedPair& pair,
-                               util::Rng& sample_rng) {
-    nn::Tensor fi = featurizer.Featurize(encoded[pair.i], sample_rng, true);
-    nn::Tensor fj = featurizer.Featurize(encoded[pair.j], sample_rng, true);
+  auto unsup_sample_loss = [&](size_t shard, size_t b) {
+    const SslWorker& worker = workers[shard];
+    const WeightedPair& pair = pair_batch[b];
+    util::Rng& sample_rng = sample_rngs[b];
+    nn::Tensor fi =
+        worker.featurizer->Featurize(encoded[pair.i], sample_rng, true);
+    nn::Tensor fj =
+        worker.featurizer->Featurize(encoded[pair.j], sample_rng, true);
     nn::Tensor ei = options_.use_embedding
-                        ? embedder->Embed(fi, sample_rng, true)
+                        ? worker.embedder->Embed(fi, sample_rng, true)
                         : nn::L2NormalizeRow(fi);
     nn::Tensor ej = options_.use_embedding
-                        ? embedder->Embed(fj, sample_rng, true)
+                        ? worker.embedder->Embed(fj, sample_rng, true)
                         : nn::L2NormalizeRow(fj);
     nn::Tensor sample_loss;
     switch (options_.unsup_loss) {
@@ -408,50 +435,6 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
     return sample_loss;
   };
 
-  // ---- Data-parallel machinery (num_shards > 1 only) ----
-  util::ThreadPool& thread_pool = util::ThreadPool::Global();
-  std::vector<SslWorker> workers;
-  std::vector<size_t> poi_batch(batch_size);
-  std::vector<WeightedPair> pair_batch(batch_size);
-  std::vector<util::Rng> sample_rngs;
-  std::vector<float> shard_losses(num_shards);
-  if (num_shards > 1) {
-    workers.resize(num_shards);
-    for (SslWorker& worker : workers) {
-      worker.featurizer = featurizer_->Clone();
-      worker.classifier = classifier_->Clone();
-      worker.featurizer->CollectParameters("featurizer", worker.poi_params);
-      worker.classifier->CollectParameters("classifier", worker.poi_params);
-      worker.featurizer->CollectParameters("featurizer", worker.unsup_params);
-      if (options_.use_embedding) {
-        worker.embedder = embedder_->Clone();
-        worker.embedder->CollectParameters("embedder", worker.unsup_params);
-      }
-    }
-    poi_optimizer.ZeroGrad();
-    unsup_optimizer.ZeroGrad();
-  }
-
-  // Fixed-order reduction of worker gradients into the shared parameters
-  // (no optimizer step yet). The shard-ascending order keeps the float sums
-  // associated identically no matter which threads ran the shards.
-  auto reduce_shards = [&](std::vector<nn::NamedParameter>& shared,
-                           bool poi_step) {
-    double loss_value = 0.0;
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      loss_value += shard_losses[shard];
-      std::vector<nn::NamedParameter>& worker_params =
-          poi_step ? workers[shard].poi_params : workers[shard].unsup_params;
-      CHECK_EQ(worker_params.size(), shared.size());
-      for (size_t p = 0; p < shared.size(); ++p) {
-        shared[p].tensor.mutable_grad().AddScaled(
-            worker_params[p].tensor.grad(), 1.0f);
-        worker_params[p].tensor.ZeroGrad();
-      }
-    }
-    return loss_value;
-  };
-
   // Telemetry: decile "epoch" windows over the step budget. Pure observers —
   // reads of losses/params only, no RNG draws — so the trained trajectory is
   // bitwise-identical with telemetry on or off (tests/determinism_test.cc).
@@ -469,41 +452,16 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
     HISRECT_TRACE_SPAN("ssl.step");
     obs::ScopedTimer step_timer(step_seconds);
     // All stochastic decisions happen on the coordinating thread, in sample
-    // order: the step-kind draw, batch draws, and (sharded runs) one forked
-    // RNG stream per sample. The trajectory is a function of (seed,
-    // num_shards) only.
+    // order: the step-kind draw, batch draws, and one forked RNG stream per
+    // sample. The trajectory is a function of (seed, num_shards) only.
     bool take_poi_step = rng.Uniform() < gamma_poi;
     std::vector<nn::NamedParameter>& active_params =
         take_poi_step ? poi_params : unsup_params;
     nn::Adam& active_optimizer = take_poi_step ? poi_optimizer : unsup_optimizer;
     double loss_value = 0.0;
-
-    if (num_shards <= 1) {
-      // Serial single-tape path (bit-compatible with the original trainer).
-      nn::Tensor loss;
-      if (take_poi_step) {
-        // Supervised step: L_poi = cross entropy of P(F(r)) vs r.pid.
-        for (size_t b = 0; b < batch_size; ++b) {
-          size_t index = labeled[rng.UniformInt(labeled.size())];
-          nn::Tensor sample_loss =
-              poi_sample_loss(*featurizer_, *classifier_, index, rng);
-          loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-        }
-        loss = nn::Scale(loss, inv_batch);
-      } else {
-        // Unsupervised step over affinity pairs.
-        for (size_t b = 0; b < batch_size; ++b) {
-          WeightedPair pair = next_pair();
-          nn::Tensor sample_loss =
-              unsup_sample_loss(*featurizer_, embedder_, pair, rng);
-          loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-        }
-        loss = nn::Scale(loss, options_.unsup_weight * inv_batch);
-      }
-      loss.Backward();
-      loss_value = loss.value().At(0, 0);
-    } else if (take_poi_step) {
-      sample_rngs.clear();
+    sample_rngs.clear();
+    if (take_poi_step) {
+      // Supervised step: L_poi = cross entropy of P(F(r)) vs r.pid.
       for (size_t b = 0; b < batch_size; ++b) {
         poi_batch[b] = labeled[rng.UniformInt(labeled.size())];
         sample_rngs.push_back(rng.Fork());
@@ -512,24 +470,10 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
         nn::CopyParameterValues(*featurizer_, *worker.featurizer);
         nn::CopyParameterValues(*classifier_, *worker.classifier);
       }
-      util::ParallelFor(
-          thread_pool, batch_size, num_shards,
-          [&](size_t shard, size_t begin, size_t end) {
-            SslWorker& worker = workers[shard];
-            nn::Tensor loss;
-            for (size_t b = begin; b < end; ++b) {
-              nn::Tensor sample_loss =
-                  poi_sample_loss(*worker.featurizer, *worker.classifier,
-                                  poi_batch[b], sample_rngs[b]);
-              loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-            }
-            loss = nn::Scale(loss, inv_batch);
-            loss.Backward();
-            shard_losses[shard] = loss.value().At(0, 0);
-          });
-      loss_value = reduce_shards(poi_params, /*poi_step=*/true);
+      loss_value = RunShardStep(poi_params, replica_poi_params, batch_size,
+                                inv_batch, poi_sample_loss);
     } else {
-      sample_rngs.clear();
+      // Unsupervised step over affinity pairs.
       for (size_t b = 0; b < batch_size; ++b) {
         pair_batch[b] = next_pair();
         sample_rngs.push_back(rng.Fork());
@@ -540,22 +484,9 @@ util::Status SslTrainer::Train(const std::vector<EncodedProfile>& encoded,
           nn::CopyParameterValues(*embedder_, *worker.embedder);
         }
       }
-      util::ParallelFor(
-          thread_pool, batch_size, num_shards,
-          [&](size_t shard, size_t begin, size_t end) {
-            SslWorker& worker = workers[shard];
-            nn::Tensor loss;
-            for (size_t b = begin; b < end; ++b) {
-              nn::Tensor sample_loss =
-                  unsup_sample_loss(*worker.featurizer, worker.embedder.get(),
-                                    pair_batch[b], sample_rngs[b]);
-              loss = loss.defined() ? nn::Add(loss, sample_loss) : sample_loss;
-            }
-            loss = nn::Scale(loss, options_.unsup_weight * inv_batch);
-            loss.Backward();
-            shard_losses[shard] = loss.value().At(0, 0);
-          });
-      loss_value = reduce_shards(unsup_params, /*poi_step=*/false);
+      loss_value = RunShardStep(unsup_params, replica_unsup_params,
+                                batch_size, options_.unsup_weight * inv_batch,
+                                unsup_sample_loss);
     }
 
     if (util::FailPoint::ShouldFail("trainer.nan_grad")) {

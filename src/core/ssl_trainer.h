@@ -47,7 +47,7 @@ struct SslTrainerOptions {
   double min_poi_step_fraction = 0.5;
   /// Data-parallel gradient shards per step (see
   /// JudgeTrainerOptions::num_shards; same fixed-shard determinism
-  /// contract). <= 1 keeps the serial single-tape path.
+  /// contract; 0 and 1 both mean one replica).
   size_t num_shards = 1;
   nn::AdamOptions adam;
   AffinityOptions affinity;

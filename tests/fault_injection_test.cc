@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -20,6 +22,7 @@
 #include "obs/metrics.h"
 #include "tests/test_common.h"
 #include "util/atomic_file.h"
+#include "util/checkpoint_container.h"
 #include "util/fail_point.h"
 #include "util/status.h"
 
@@ -187,7 +190,7 @@ void ExpectJudgeResumeBitwise(const JudgeTrainerOptions& base,
   }
 }
 
-TEST_F(FaultInjectionTest, JudgeKillAndResumeBitwiseSerial) {
+TEST_F(FaultInjectionTest, JudgeKillAndResumeBitwiseOneShard) {
   JudgeTrainerOptions options = JudgeOptions(1);
   std::vector<nn::Matrix> reference = JudgeReference(options);
   ExpectJudgeResumeBitwise(options, reference, *dataset_, *text_model_,
@@ -448,6 +451,60 @@ TEST_F(FaultInjectionTest, ResumeFromCheckpointRejectsGarbageUpFront) {
   EXPECT_FALSE(trainer.ResumeFromCheckpoint(path).ok());
   EXPECT_FALSE(
       trainer.ResumeFromCheckpoint(dir_ + "/missing.ckpt").ok());
+}
+
+// The two-phase judge featurizes only the profiles a labeled pair can draw,
+// so a checkpoint whose pool names any other profile is rejected instead of
+// feeding the judge a feature that was never computed.
+TEST_F(FaultInjectionTest, JudgeResumeRejectsPoolEntryOutsideLabeledPairs) {
+  const data::DataSplit& split = dataset_->train;
+  std::vector<bool> drawable(split.profiles.size(), false);
+  for (const std::vector<data::Pair>* pairs :
+       {&split.positive_pairs, &split.negative_pairs}) {
+    for (const data::Pair& pair : *pairs) {
+      drawable[pair.i] = true;
+      drawable[pair.j] = true;
+    }
+  }
+  uint64_t outside = 0;
+  while (outside < drawable.size() && drawable[outside]) ++outside;
+  ASSERT_LT(outside, drawable.size()) << "every profile is in a labeled pair";
+
+  JudgeTrainerOptions options = JudgeOptions(1);
+  const std::string path = dir_ + "/tampered.ckpt";
+  {
+    Modules modules(*dataset_, *text_model_);
+    JudgeTrainer trainer(modules.featurizer.get(), modules.judge.get(),
+                         options);
+    util::Rng rng(5);
+    JudgeTrainStats stats;
+    ASSERT_TRUE(trainer.Train(*encoded_, split, rng, &stats).ok());
+    ASSERT_TRUE(trainer.SaveCheckpoint(path).ok());
+  }
+  // Rewrite the first pool entry's first profile (after the u64 cursor and
+  // u64 size) and re-encode with valid checksums.
+  util::Result<util::CheckpointReader> reader =
+      util::CheckpointReader::FromFile(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  util::CheckpointWriter writer;
+  for (const std::string& name : reader.value().section_names()) {
+    std::string payload(reader.value().Section(name).value());
+    if (name == "pool") {
+      ASSERT_GE(payload.size(), 3 * sizeof(uint64_t));
+      std::memcpy(&payload[2 * sizeof(uint64_t)], &outside, sizeof(outside));
+    }
+    writer.AddSection(name, std::move(payload));
+  }
+  ASSERT_TRUE(writer.WriteFile(path).ok());
+
+  Modules modules(*dataset_, *text_model_);
+  JudgeTrainer trainer(modules.featurizer.get(), modules.judge.get(), options);
+  ASSERT_TRUE(trainer.ResumeFromCheckpoint(path).ok());
+  util::Rng rng(5);
+  JudgeTrainStats stats;
+  util::Status status = trainer.Train(*encoded_, split, rng, &stats);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << status.ToString();
 }
 
 // ---------------------------------------------------------------------------

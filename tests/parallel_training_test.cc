@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/featurizer.h"
@@ -69,6 +70,56 @@ class ParallelTrainingFixture : public ::testing::Test {
     }
   }
 
+  /// Final losses and parameters of one training run.
+  struct Run {
+    std::vector<double> losses;
+    std::vector<std::vector<nn::Matrix>> params;
+  };
+
+  Run TrainJudge(size_t threads, size_t num_shards, bool train_featurizer) {
+    util::ThreadPool::SetGlobalNumThreads(threads);
+    Modules m = MakeModules();
+    JudgeTrainerOptions options;
+    options.steps = 40;
+    options.batch_size = 8;
+    options.num_shards = num_shards;
+    options.train_featurizer = train_featurizer;
+    JudgeTrainer trainer(m.featurizer.get(), m.judge.get(), options);
+    util::Rng rng(5);
+    JudgeTrainStats stats = trainer.Train(encoded_, dataset_.train, rng);
+    return Run{{stats.final_loss},
+               {Snapshot(*m.judge), Snapshot(*m.featurizer)}};
+  }
+
+  Run TrainSsl(size_t threads, size_t num_shards) {
+    util::ThreadPool::SetGlobalNumThreads(threads);
+    Modules m = MakeModules();
+    SslTrainerOptions options;
+    options.steps = 40;
+    options.batch_size = 8;
+    options.num_shards = num_shards;
+    SslTrainer trainer(m.featurizer.get(), m.classifier.get(),
+                       m.embedder.get(), options);
+    util::Rng rng(3);
+    SslTrainStats stats =
+        trainer.Train(encoded_, dataset_.train, dataset_.pois, rng);
+    return Run{{stats.final_poi_loss, stats.final_unsup_loss},
+               {Snapshot(*m.featurizer), Snapshot(*m.classifier),
+                Snapshot(*m.embedder)}};
+  }
+
+  static void ExpectSameRun(const Run& a, const Run& b,
+                            const std::string& what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.losses, b.losses);
+    ASSERT_EQ(a.params.size(), b.params.size());
+    for (size_t i = 0; i < a.params.size(); ++i) {
+      ExpectSameSnapshot(a.params[i], b.params[i]);
+    }
+  }
+
+  void TearDown() override { util::ThreadPool::SetGlobalNumThreads(1); }
+
   data::Dataset dataset_;
   TextModel text_model_;
   std::vector<EncodedProfile> encoded_;
@@ -76,70 +127,43 @@ class ParallelTrainingFixture : public ::testing::Test {
 
 TEST_F(ParallelTrainingFixture, JudgeTrainerBitwiseStableAcrossThreadCounts) {
   for (bool train_featurizer : {false, true}) {
-    struct Run {
-      double final_loss;
-      std::vector<nn::Matrix> judge_params;
-      std::vector<nn::Matrix> featurizer_params;
-    };
-    std::vector<Run> runs;
-    for (size_t threads : {1u, 2u, 4u}) {
-      util::ThreadPool::SetGlobalNumThreads(threads);
-      Modules m = MakeModules();
-      JudgeTrainerOptions options;
-      options.steps = 40;
-      options.batch_size = 8;
-      options.num_shards = 4;
-      options.train_featurizer = train_featurizer;
-      JudgeTrainer trainer(m.featurizer.get(), m.judge.get(), options);
-      util::Rng rng(5);
-      JudgeTrainStats stats = trainer.Train(encoded_, dataset_.train, rng);
-      runs.push_back(Run{stats.final_loss, Snapshot(*m.judge),
-                         Snapshot(*m.featurizer)});
-    }
-    for (size_t i = 1; i < runs.size(); ++i) {
-      EXPECT_EQ(runs[i].final_loss, runs[0].final_loss)
-          << "train_featurizer=" << train_featurizer;
-      ExpectSameSnapshot(runs[i].judge_params, runs[0].judge_params);
-      ExpectSameSnapshot(runs[i].featurizer_params,
-                         runs[0].featurizer_params);
+    for (size_t num_shards : {1u, 3u, 4u}) {
+      const Run reference = TrainJudge(1, num_shards, train_featurizer);
+      for (size_t threads : {2u, 4u}) {
+        ExpectSameRun(TrainJudge(threads, num_shards, train_featurizer),
+                      reference,
+                      "train_featurizer=" + std::to_string(train_featurizer) +
+                          " shards=" + std::to_string(num_shards) +
+                          " threads=" + std::to_string(threads));
+      }
     }
   }
-  util::ThreadPool::SetGlobalNumThreads(1);
 }
 
 TEST_F(ParallelTrainingFixture, SslTrainerBitwiseStableAcrossThreadCounts) {
-  struct Run {
-    double final_poi_loss;
-    double final_unsup_loss;
-    std::vector<nn::Matrix> featurizer_params;
-    std::vector<nn::Matrix> classifier_params;
-    std::vector<nn::Matrix> embedder_params;
-  };
-  std::vector<Run> runs;
-  for (size_t threads : {1u, 2u, 4u}) {
-    util::ThreadPool::SetGlobalNumThreads(threads);
-    Modules m = MakeModules();
-    SslTrainerOptions options;
-    options.steps = 40;
-    options.batch_size = 8;
-    options.num_shards = 4;
-    SslTrainer trainer(m.featurizer.get(), m.classifier.get(),
-                       m.embedder.get(), options);
-    util::Rng rng(3);
-    SslTrainStats stats =
-        trainer.Train(encoded_, dataset_.train, dataset_.pois, rng);
-    runs.push_back(Run{stats.final_poi_loss, stats.final_unsup_loss,
-                       Snapshot(*m.featurizer), Snapshot(*m.classifier),
-                       Snapshot(*m.embedder)});
+  for (size_t num_shards : {1u, 3u, 4u}) {
+    const Run reference = TrainSsl(1, num_shards);
+    for (size_t threads : {2u, 4u}) {
+      ExpectSameRun(TrainSsl(threads, num_shards), reference,
+                    "shards=" + std::to_string(num_shards) +
+                        " threads=" + std::to_string(threads));
+    }
   }
-  for (size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].final_poi_loss, runs[0].final_poi_loss);
-    EXPECT_EQ(runs[i].final_unsup_loss, runs[0].final_unsup_loss);
-    ExpectSameSnapshot(runs[i].featurizer_params, runs[0].featurizer_params);
-    ExpectSameSnapshot(runs[i].classifier_params, runs[0].classifier_params);
-    ExpectSameSnapshot(runs[i].embedder_params, runs[0].embedder_params);
+}
+
+// num_shards 0 and 1 both mean one replica: the same trajectory, bit for bit.
+TEST_F(ParallelTrainingFixture, ZeroAndOneShardTrainIdentically) {
+  for (size_t threads : {1u, 4u}) {
+    for (bool train_featurizer : {false, true}) {
+      ExpectSameRun(TrainJudge(threads, 0, train_featurizer),
+                    TrainJudge(threads, 1, train_featurizer),
+                    "judge train_featurizer=" +
+                        std::to_string(train_featurizer) +
+                        " threads=" + std::to_string(threads));
+    }
+    ExpectSameRun(TrainSsl(threads, 0), TrainSsl(threads, 1),
+                  "ssl threads=" + std::to_string(threads));
   }
-  util::ThreadPool::SetGlobalNumThreads(1);
 }
 
 TEST_F(ParallelTrainingFixture, ParallelJudgeTrainingStillLearns) {
@@ -156,7 +180,6 @@ TEST_F(ParallelTrainingFixture, ParallelJudgeTrainingStillLearns) {
   // ends below the ln(2) ~ 0.693 chance level.
   EXPECT_GT(stats.final_loss, 0.0);
   EXPECT_LT(stats.final_loss, 0.69);
-  util::ThreadPool::SetGlobalNumThreads(1);
 }
 
 }  // namespace

@@ -198,16 +198,29 @@ TEST_F(TrainerFixture, OnePhaseModeUpdatesFeaturizer) {
 }
 
 TEST_F(TrainerFixture, TwoPhaseModeKeepsFeaturizerFixed) {
-  JudgeTrainerOptions options;
-  options.steps = 30;
-  options.batch_size = 2;
-  options.train_featurizer = false;
-  JudgeTrainer trainer(featurizer_.get(), judge_.get(), options);
-  auto params = featurizer_->Parameters();
-  nn::Matrix before = params[0].tensor.value();
-  util::Rng rng(6);
-  trainer.Train(encoded_, dataset_.train, rng);
-  EXPECT_TRUE(params[0].tensor.value() == before);
+  for (size_t num_shards : {1u, 2u}) {
+    JudgeTrainerOptions options;
+    options.steps = 30;
+    options.batch_size = 2;
+    options.train_featurizer = false;
+    options.num_shards = num_shards;
+    JudgeTrainer trainer(featurizer_.get(), judge_.get(), options);
+    auto params = featurizer_->Parameters();
+    nn::Matrix before = params[0].tensor.value();
+    util::Rng rng(6);
+    trainer.Train(encoded_, dataset_.train, rng);
+    EXPECT_TRUE(params[0].tensor.value() == before)
+        << "num_shards=" << num_shards;
+    // Theta_F is fixed, so no backward pass may reach the featurizer: any
+    // gradient left there is work no optimizer reads or clears.
+    for (const nn::NamedParameter& param : params) {
+      const nn::Matrix& grad = param.tensor.grad();
+      for (size_t k = 0; k < grad.size(); ++k) {
+        ASSERT_EQ(grad.data()[k], 0.0f)
+            << param.name << " gradient at num_shards=" << num_shards;
+      }
+    }
+  }
 }
 
 }  // namespace

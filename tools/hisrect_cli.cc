@@ -12,8 +12,10 @@
 // `train` persists the fitted networks; `eval` reports the Table 4 metrics,
 // AUC and Acc@K on the held-out test split. `--threads` sizes the global
 // worker pool (default: HISRECT_NUM_THREADS, else all hardware threads);
-// `--shards` sets the per-step gradient shard count — results depend on the
-// shard count but never on the thread count. `--pipeline-shards` shards the
+// `--shards` sets the per-step gradient shard count: each shard trains one
+// replica of the modules and the shard gradients are summed in shard order
+// (0 and 1 both mean one replica, run inline). Results depend on the shard
+// count but never on the thread count. `--pipeline-shards` shards the
 // pre-training passes (profile encoding, SSL graph build); unlike --shards
 // it is performance-only: those outputs are byte-identical at any value.
 // `--plan` makes `eval` score through the recorded-plan replay path
@@ -76,7 +78,8 @@ struct CliOptions {
   size_t judge_steps = 3000;
   /// 0 keeps the pool's environment-derived default size.
   size_t threads = 0;
-  /// Gradient shards per training step (1 = serial single-tape path).
+  /// Gradient shards (module replicas) per training step; 0 and 1 both
+  /// mean one replica.
   size_t shards = 1;
   /// Shards for encoding + graph build (0 = one per pool worker).
   size_t pipeline_shards = 0;

@@ -19,7 +19,10 @@
 # serve.score_abort, registry.corrupt_load) and admission-validation cases
 # run under ASan/UBSan as well. The router suite
 # rides along under TSan: shard fan-out, fleet swaps, and the routed_
-# counters cross the router, shard batchers, and registry threads.
+# counters cross the router, shard batchers, and registry threads. So does
+# the `train` label (parallel_training_test): every training step runs its
+# shards' replica tapes on pool threads and reduces their gradients into
+# the shared parameters, at 0, 1, 3 and 4 shards over 1, 2 and 4 threads.
 #
 # Knobs:
 #   SANITIZERS   space-separated subset of "address undefined thread"
@@ -28,7 +31,7 @@
 #   CTEST_LABEL  ctest -L selector override; empty picks per-sanitizer
 #                defaults (robustness|plan|fusion|quant|kernels for
 #                address/undefined,
-#                obs|serve|fusion|router for thread)
+#                obs|serve|fusion|router|train for thread)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,7 +41,7 @@ CTEST_LABEL=${CTEST_LABEL:-}
 
 label_for() {
   case "$1" in
-    thread) echo "obs|serve|fusion|router" ;;  # ctest -L takes a regex
+    thread) echo "obs|serve|fusion|router|train" ;;  # ctest -L takes a regex
     *) echo "robustness|plan|fusion|quant|kernels" ;;
   esac
 }

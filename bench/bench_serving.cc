@@ -37,8 +37,6 @@
 #include "core/hisrect_model.h"
 #include "obs/admin_server.h"
 #include "obs/metrics.h"
-#include "eval/metrics.h"
-#include "eval/pair_evaluator.h"
 #include "serve/introspection.h"
 #include "serve/judgement_server.h"
 #include "serve/model_registry.h"
@@ -1034,21 +1032,16 @@ int Run() {
         router_out.max_min_ratio);
   }
 
-  // --- Execution-variant sweep: {baseline, plan, plan+fuse,
-  // plan+fuse+int8} single-thread offline scoring throughput, all loading
-  // the one fit above from a checkpoint. Contracts measured per variant:
-  // fp32 plan variants must score bitwise-identically to the eager
-  // baseline; int8 trades bitwise equality for throughput and is gated on
-  // the AUC delta instead; every plan variant must do zero steady-state
+  // --- Execution-variant sweep: {baseline, plan, plan+fuse} single-thread
+  // offline scoring throughput, all loading the one fit above from a
+  // checkpoint. Contracts measured per variant: plan variants must score
+  // bitwise-identically to the eager baseline and do zero steady-state
   // tensor allocations inside the timed window. ---
   struct VariantResult {
     std::string name;
     double pairs_per_sec = 0.0;
-    bool fp32 = true;
     bool matches_eager = false;
-    double auc = 0.0;
     int64_t steady_allocs = 0;
-    int64_t quantized_plans = 0;
   };
   std::vector<VariantResult> variants;
   bool variants_ok = true;
@@ -1061,13 +1054,12 @@ int Run() {
     const size_t kThroughputPairs = 48;
     struct VariantSpec {
       const char* name;
-      bool plan, fuse, quant;
+      bool plan, fuse;
     };
     const VariantSpec specs[] = {
-        {"baseline", false, false, false},
-        {"plan", true, false, false},
-        {"plan_fuse_int8", true, true, true},
-        {"plan_fuse", true, true, false},
+        {"baseline", false, false},
+        {"plan", true, false},
+        {"plan_fuse", true, true},
     };
     struct VariantState {
       VariantSpec spec;
@@ -1079,20 +1071,13 @@ int Run() {
     };
     std::vector<VariantState> states;
     std::vector<double> eager_scores;
-    // Phase 1 (per variant): load, warm, calibrate, and check the
-    // correctness contracts (bitwise vs eager / AUC).
+    // Phase 1 (per variant): load, warm, and check the bitwise-vs-eager
+    // contract.
     for (const VariantSpec& spec : specs) {
       core::HisRectModelConfig vconfig =
           baselines::BaseModelConfig(env.Budget());
       vconfig.plan.enabled = spec.plan;
       vconfig.plan.fuse = spec.fuse;
-      vconfig.plan.quantize = spec.quant;
-      // Low per-shape sample count: plans are cached per pair shape, so
-      // rare shapes must still finish calibrating during warmup or they
-      // stay on the fp32 observe path (slow, allocating). Range diversity
-      // comes from calibrating on real labeled pairs below, not from a
-      // high sample count.
-      vconfig.plan.calibration_samples = 4;
       VariantState state;
       state.spec = spec;
       state.model = std::make_unique<core::HisRectModel>(vconfig);
@@ -1106,7 +1091,7 @@ int Run() {
       }
       // Pre-encode the throughput pool once: the timed window measures
       // scoring proper (featurize + judge network), which is the path the
-      // fused/int8 kernels target — not the encoder LRU.
+      // fused kernels target — not the encoder LRU.
       state.encoded.reserve(pool_size);
       for (size_t i = 0; i < pool_size; ++i) {
         state.encoded.push_back(vmodel.Encode(pool[i]));
@@ -1119,47 +1104,16 @@ int Run() {
           if (out != nullptr) out->push_back(score);
         }
       };
-      const obs::MetricsSnapshot quant_before =
-          obs::MetricsRegistry::Global().Scrape();
-      auto scorer = [&vmodel](const data::Profile& a,
-                              const data::Profile& b) {
-        return vmodel.ScorePair(a, b);
-      };
-      // For int8, feed the calibrator labeled test pairs first so the
-      // observed activation ranges cover the eval distribution; the
-      // calibration_samples'th observation quantizes the plan.
-      if (spec.quant) {
-        for (int warm = 0; warm < 4; ++warm) {
-          (void)eval::ScoreLabeledPairs(data.dataset.test, scorer);
-        }
-      }
-      // Warmup: encoder cache, plan recording; for int8 these already run
-      // through the quantized kernels.
+      // Warmup: plan recording for every timed pair shape.
       for (int warm = 0; warm < 6; ++warm) pass(nullptr);
-      const eval::ScoredPairs labeled =
-          eval::ScoreLabeledPairs(data.dataset.test, scorer);
-      const eval::RocCurve roc =
-          eval::ComputeRoc(labeled.scores, labeled.labels);
-      if (roc.degenerate) {
-        std::fprintf(stderr,
-                     "[serving] variant %s: degenerate ROC (one-class "
-                     "split) — AUC gate is meaningless\n",
-                     spec.name);
-        variants_ok = false;
-      }
       std::vector<double> scores;
       pass(&scores);
       if (spec.name == std::string("baseline")) eager_scores = scores;
       state.result.name = spec.name;
-      state.result.fp32 = !spec.quant;
       state.result.matches_eager =
           scores.size() == eager_scores.size() &&
           std::memcmp(scores.data(), eager_scores.data(),
                       scores.size() * sizeof(double)) == 0;
-      state.result.auc = roc.auc;
-      state.result.quantized_plans =
-          CounterDelta(quant_before, obs::MetricsRegistry::Global().Scrape(),
-                       "hisrect.nn.quantized_plans");
       states.push_back(std::move(state));
     }
     // Phase 2: interleaved timing rounds. Round-robin over the variants so
@@ -1168,10 +1122,6 @@ int Run() {
     // kernel-level speedup (or hide one). Best round wins; the alloc gate
     // accumulates across every window.
     if (variants_ok) {
-      // Up to two measurement attempts: a shared box can be slow for the
-      // entire first sweep; a retry costs seconds and best-of keeps every
-      // earlier round's result.
-      for (int attempt = 0; attempt < 2; ++attempt) {
       for (int round = 0; round < 8; ++round) {
         for (VariantState& state : states) {
           core::HisRectModel& vmodel = *state.model;
@@ -1198,10 +1148,6 @@ int Run() {
                            "hisrect.nn.tensor_allocs");
         }
       }
-      // Retry only when the int8-vs-plan ratio is inside the noise band
-      // around its 1.2x gate.
-      if (states[2].best_pps >= 1.25 * states[1].best_pps) break;
-      }
       for (VariantState& state : states) {
         state.result.pairs_per_sec = state.best_pps;
         state.result.steady_allocs = state.window_allocs;
@@ -1209,13 +1155,12 @@ int Run() {
       }
     }
   }
-  if (variants_ok && variants.size() == 4) {
-    const VariantResult& baseline = variants[0];
+  if (variants_ok && variants.size() == 3) {
     for (size_t i = 1; i < variants.size(); ++i) {
       const VariantResult& v = variants[i];
-      if (v.fp32 && !v.matches_eager) {
+      if (!v.matches_eager) {
         std::fprintf(stderr,
-                     "[serving] variant %s: fp32 scores differ from eager\n",
+                     "[serving] variant %s: scores differ from eager\n",
                      v.name.c_str());
         variants_ok = false;
       }
@@ -1226,22 +1171,6 @@ int Run() {
                      v.name.c_str(),
                      static_cast<long long>(v.steady_allocs));
         variants_ok = false;
-      }
-      if (!v.fp32) {
-        if (v.quantized_plans <= 0) {
-          std::fprintf(stderr,
-                       "[serving] variant %s: no plan was quantized — the "
-                       "int8 path never ran\n",
-                       v.name.c_str());
-          variants_ok = false;
-        }
-        if (!(std::abs(v.auc - baseline.auc) <= 0.005)) {
-          std::fprintf(stderr,
-                       "[serving] variant %s: AUC %.4f vs baseline %.4f — "
-                       "delta exceeds 0.005\n",
-                       v.name.c_str(), v.auc, baseline.auc);
-          variants_ok = false;
-        }
       }
     }
   } else if (variants_ok) {
@@ -1305,10 +1234,8 @@ int Run() {
   for (const VariantResult& v : variants) {
     table.AddRow({v.name + " pairs/s (1 thread)",
                   util::Table::Fmt(v.pairs_per_sec, 1)});
-    table.AddRow({v.name + (v.fp32 ? " bitwise vs eager" : " AUC"),
-                  v.fp32 ? (v.matches_eager ? std::string("OK")
-                                            : std::string("VIOLATED"))
-                         : util::Table::Fmt(v.auc, 4)});
+    table.AddRow({v.name + " bitwise vs eager",
+                  v.matches_eager ? "OK" : "VIOLATED"});
   }
   std::printf("== Online serving (batch_size=%zu, max_wait=%lluus, "
               "cache_capacity=%zu) ==\n",
@@ -1379,14 +1306,10 @@ int Run() {
     const VariantResult& v = variants[i];
     std::fprintf(json,
                  "%s\n    {\"name\": \"%s\", \"pairs_per_sec\": %.2f, "
-                 "\"fp32\": %s, \"matches_eager\": %s, \"auc\": %.6f, "
-                 "\"steady_state_allocs\": %lld, "
-                 "\"quantized_plans\": %lld}",
+                 "\"matches_eager\": %s, \"steady_state_allocs\": %lld}",
                  i == 0 ? "" : ",", v.name.c_str(), v.pairs_per_sec,
-                 v.fp32 ? "true" : "false",
-                 v.matches_eager ? "true" : "false", v.auc,
-                 static_cast<long long>(v.steady_allocs),
-                 static_cast<long long>(v.quantized_plans));
+                 v.matches_eager ? "true" : "false",
+                 static_cast<long long>(v.steady_allocs));
   }
   std::fprintf(json, "\n  ],\n");
   std::fprintf(json,

@@ -7,18 +7,6 @@
 #include "nn/ops.h"
 #include "util/logging.h"
 
-// The int8 serving kernels get an AVX2 inner product via the per-function
-// target attribute, so it is available even in the default (baseline
-// x86-64) build — unlike the fp32 AVX2 GEMMs in matrix.cc, which need
-// HISRECT_NATIVE_ARCH because float vectorization must preserve the scalar
-// summation order. Integer dot products are exact under any association,
-// so the vector and scalar paths here return identical int32 values and
-// runtime dispatch cannot affect results.
-#if defined(__x86_64__) && defined(__GNUC__)
-#define HISRECT_QUANT_AVX2 1
-#include <immintrin.h>
-#endif
-
 namespace hisrect::nn {
 
 // Each kind is one shape function plus one kernel. Shape functions validate
@@ -405,267 +393,6 @@ void FusedDualLinearForward(const KernelArgs& k) {
 }
 
 // ---------------------------------------------------------------------------
-// kQuantLinear / kQuantLinearRelu / kQuantLinearTanh
-//
-// Int8 serving kernels: weights pre-quantized per output column into
-// Graph::qweights (transposed, so the dot product walks both operands
-// contiguously); activations quantized at run time with the static
-// calibration scale; int32 accumulation; fp32 epilogue with bias +
-// activation. NOT bitwise vs fp32 — gated by AUC deltas instead.
-
-#if defined(HISRECT_QUANT_AVX2)
-bool QuantCpuHasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-
-__attribute__((target("avx2"))) inline __m256i WidenI8(const int8_t* p) {
-  return _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
-
-__attribute__((target("avx2"))) inline int32_t HsumI32(__m256i v) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
-}
-
-// Signed int8 dot product: widen both operands to int16 and use madd_epi16
-// (every |a*b| <= 127*127 so the pairwise int16->int32 sums cannot
-// overflow). 16 lanes per step, 8-lane step for short feature dims, scalar
-// tail. Exact — integer adds associate freely.
-__attribute__((target("avx2"))) int32_t DotInt8Avx2(const int8_t* a,
-                                                    const int8_t* b,
-                                                    size_t k) {
-  size_t t = 0;
-  __m256i acc = _mm256_setzero_si256();
-  for (; t + 16 <= k; t += 16) {
-    acc = _mm256_add_epi32(acc,
-                           _mm256_madd_epi16(WidenI8(a + t), WidenI8(b + t)));
-  }
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                            _mm256_extracti128_si256(acc, 1));
-  if (t + 8 <= k) {
-    const __m128i a16 = _mm_cvtepi8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + t)));
-    const __m128i b16 = _mm_cvtepi8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + t)));
-    s = _mm_add_epi32(s, _mm_madd_epi16(a16, b16));
-    t += 8;
-  }
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  int32_t sum = _mm_cvtsi128_si32(s);
-  for (; t < k; ++t) {
-    sum += static_cast<int32_t>(a[t]) * static_cast<int32_t>(b[t]);
-  }
-  return sum;
-}
-// Activation quantization: scale, round, clamp to [-127, 127], narrow to
-// int8. cvtps_epi32 rounds under the default MXCSR mode (nearest-even),
-// which is exactly what std::lrintf does in the scalar path, and the packs
-// saturations are no-ops after the explicit clamp — so both paths emit
-// byte-identical qx.
-__attribute__((target("avx2"))) void QuantizeActAvx2(const float* xv,
-                                                     int8_t* qx, size_t n,
-                                                     float inv_sx) {
-  const __m256 scale = _mm256_set1_ps(inv_sx);
-  const __m256i lo = _mm256_set1_epi32(-127);
-  const __m256i hi = _mm256_set1_epi32(127);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i r = _mm256_cvtps_epi32(
-        _mm256_mul_ps(_mm256_loadu_ps(xv + i), scale));
-    r = _mm256_min_epi32(hi, _mm256_max_epi32(lo, r));
-    const __m128i w16 = _mm_packs_epi32(_mm256_castsi256_si128(r),
-                                        _mm256_extracti128_si256(r, 1));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(qx + i),
-                     _mm_packs_epi16(w16, _mm_setzero_si128()));
-  }
-  for (; i < n; ++i) {
-    long r = std::lrintf(xv[i] * inv_sx);
-    if (r > 127) r = 127;
-    if (r < -127) r = -127;
-    qx[i] = static_cast<int8_t>(r);
-  }
-}
-// Four output columns per pass: one load of the activation vector feeds
-// four madd chains, quartering the x-load traffic of the single-column
-// dot. Weights are stored transposed so each column's k-span is
-// contiguous. Still exact int32 arithmetic.
-__attribute__((target("avx2"))) void DotInt8Cols4Avx2(const int8_t* x,
-                                                      const int8_t* w,
-                                                      size_t k,
-                                                      int32_t sums[4]) {
-  const int8_t* w0 = w;
-  const int8_t* w1 = w + k;
-  const int8_t* w2 = w + 2 * k;
-  const int8_t* w3 = w + 3 * k;
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256();
-  __m256i acc3 = _mm256_setzero_si256();
-  size_t t = 0;
-  for (; t + 16 <= k; t += 16) {
-    const __m256i xx = WidenI8(x + t);
-    acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(xx, WidenI8(w0 + t)));
-    acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(xx, WidenI8(w1 + t)));
-    acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(xx, WidenI8(w2 + t)));
-    acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(xx, WidenI8(w3 + t)));
-  }
-  sums[0] = HsumI32(acc0);
-  sums[1] = HsumI32(acc1);
-  sums[2] = HsumI32(acc2);
-  sums[3] = HsumI32(acc3);
-  for (; t < k; ++t) {
-    const int32_t xt = x[t];
-    sums[0] += xt * w0[t];
-    sums[1] += xt * w1[t];
-    sums[2] += xt * w2[t];
-    sums[3] += xt * w3[t];
-  }
-}
-#endif  // defined(HISRECT_QUANT_AVX2)
-
-inline void QuantizeAct(const float* xv, int8_t* qx, size_t n,
-                        float inv_sx) {
-#if defined(HISRECT_QUANT_AVX2)
-  if (QuantCpuHasAvx2()) {
-    QuantizeActAvx2(xv, qx, n, inv_sx);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    long r = std::lrintf(xv[i] * inv_sx);
-    if (r > 127) r = 127;
-    if (r < -127) r = -127;
-    qx[i] = static_cast<int8_t>(r);
-  }
-}
-
-inline int32_t DotInt8(const int8_t* a, const int8_t* b, size_t k) {
-#if defined(HISRECT_QUANT_AVX2)
-  if (QuantCpuHasAvx2()) return DotInt8Avx2(a, b, k);
-#endif
-  int32_t acc = 0;
-  for (size_t t = 0; t < k; ++t) {
-    acc += static_cast<int32_t>(a[t]) * static_cast<int32_t>(b[t]);
-  }
-  return acc;
-}
-
-void QuantLinearForwardImpl(const KernelArgs& k, FusedAct act) {
-  const Operand& x = k.in[0];
-  const QuantLinearInfo& q =
-      k.graph->quant_linears[static_cast<size_t>(k.iattr0)];
-  const int8_t* qw = k.graph->qweights.data() + q.qweight_offset;
-  const float* sw = k.graph->qscales.data() + q.scale_offset;
-  const float* bias = k.in[2].data;
-  float* out = k.out;
-  const size_t rows = x.rows;
-  const size_t depth = x.cols;
-  const size_t cols = k.in[1].cols;
-  // Quantize the activations into the aux span (float storage reused as
-  // bytes; char-typed access is aliasing-legal).
-  int8_t* qx = reinterpret_cast<int8_t*>(k.aux);
-  QuantizeAct(x.data, qx, rows * depth, 1.0f / q.in_scale);
-  for (size_t i = 0; i < rows; ++i) {
-    const int8_t* x_row = qx + i * depth;
-    float* out_row = out + i * cols;
-    size_t j = 0;
-#if defined(HISRECT_QUANT_AVX2)
-    if (QuantCpuHasAvx2()) {
-      for (; j + 4 <= cols; j += 4) {
-        int32_t sums[4];
-        DotInt8Cols4Avx2(x_row, qw + j * depth, depth, sums);
-        for (size_t d = 0; d < 4; ++d) {
-          out_row[j + d] = static_cast<float>(sums[d]) *
-                               (q.in_scale * sw[j + d]) +
-                           bias[j + d];
-        }
-      }
-    }
-#endif
-    for (; j < cols; ++j) {
-      const int32_t acc = DotInt8(x_row, qw + j * depth, depth);
-      out_row[j] = static_cast<float>(acc) * (q.in_scale * sw[j]) + bias[j];
-    }
-  }
-  ApplyActivation(out, rows * cols, act);
-}
-
-void QuantLinearForward(const KernelArgs& k) {
-  QuantLinearForwardImpl(k, FusedAct::kNone);
-}
-void QuantLinearReluForward(const KernelArgs& k) {
-  QuantLinearForwardImpl(k, FusedAct::kRelu);
-}
-void QuantLinearTanhForward(const KernelArgs& k) {
-  QuantLinearForwardImpl(k, FusedAct::kTanh);
-}
-
-// ---------------------------------------------------------------------------
-// kQuantDualLinear
-//
-// Int8 kFusedDualLinear: two weight matrices (iattr0 → W with x's scale,
-// iattr1 → U with h's scale), both baked transposed; the aux span carries
-// both quantized activation vectors back to back. Accumulation stays int32
-// per operand, the fp32 epilogue dequantizes each product with its own
-// scale pair before adding the bias.
-
-void QuantDualLinearForward(const KernelArgs& k) {
-  const Graph& g = *k.graph;
-  const QuantLinearInfo& qa = g.quant_linears[static_cast<size_t>(k.iattr0)];
-  const QuantLinearInfo& qb = g.quant_linears[static_cast<size_t>(k.iattr1)];
-  const int8_t* qw = g.qweights.data() + qa.qweight_offset;
-  const int8_t* qu = g.qweights.data() + qb.qweight_offset;
-  const float* sw = g.qscales.data() + qa.scale_offset;
-  const float* su = g.qscales.data() + qb.scale_offset;
-  const float* bias = k.in[4].data;
-  float* out = k.out;
-  const size_t rows = k.in[0].rows;
-  const size_t k1 = k.in[0].cols;
-  const size_t k2 = k.in[1].cols;
-  const size_t cols = k.in[2].cols;
-  int8_t* qx = reinterpret_cast<int8_t*>(k.aux);
-  int8_t* qh = qx + rows * k1;
-  QuantizeAct(k.in[0].data, qx, rows * k1, 1.0f / qa.in_scale);
-  QuantizeAct(k.in[1].data, qh, rows * k2, 1.0f / qb.in_scale);
-  for (size_t i = 0; i < rows; ++i) {
-    const int8_t* x_row = qx + i * k1;
-    const int8_t* h_row = qh + i * k2;
-    float* out_row = out + i * cols;
-    size_t j = 0;
-#if defined(HISRECT_QUANT_AVX2)
-    if (QuantCpuHasAvx2()) {
-      for (; j + 4 <= cols; j += 4) {
-        int32_t sums1[4];
-        int32_t sums2[4];
-        DotInt8Cols4Avx2(x_row, qw + j * k1, k1, sums1);
-        DotInt8Cols4Avx2(h_row, qu + j * k2, k2, sums2);
-        for (size_t d = 0; d < 4; ++d) {
-          out_row[j + d] =
-              (static_cast<float>(sums1[d]) * (qa.in_scale * sw[j + d]) +
-               static_cast<float>(sums2[d]) * (qb.in_scale * su[j + d])) +
-              bias[j + d];
-        }
-      }
-    }
-#endif
-    for (; j < cols; ++j) {
-      const int32_t acc1 = DotInt8(x_row, qw + j * k1, k1);
-      const int32_t acc2 = DotInt8(h_row, qu + j * k2, k2);
-      out_row[j] =
-          (static_cast<float>(acc1) * (qa.in_scale * sw[j]) +
-           static_cast<float>(acc2) * (qb.in_scale * su[j])) +
-          bias[j];
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 
 constexpr size_t kNumKinds = static_cast<size_t>(OpKind::kNumOpKinds);
 
@@ -703,16 +430,8 @@ const OpSchema* BuildRegistry() {
                                   FusedLinearReluForward};
   at(OpKind::kFusedLinearTanh) = {"FusedLinearTanh", FusedLinearShape,
                                   FusedLinearTanhForward};
-  at(OpKind::kQuantLinear) = {"QuantLinear", FusedLinearShape,
-                              QuantLinearForward};
-  at(OpKind::kQuantLinearRelu) = {"QuantLinearRelu", FusedLinearShape,
-                                  QuantLinearReluForward};
-  at(OpKind::kQuantLinearTanh) = {"QuantLinearTanh", FusedLinearShape,
-                                  QuantLinearTanhForward};
   at(OpKind::kFusedDualLinear) = {"FusedDualLinear", FusedDualLinearShape,
                                   FusedDualLinearForward};
-  at(OpKind::kQuantDualLinear) = {"QuantDualLinear", FusedDualLinearShape,
-                                  QuantDualLinearForward};
   for (size_t k = 0; k < kNumKinds; ++k) {
     CHECK(schemas[k].infer_shape != nullptr && schemas[k].forward != nullptr)
         << "op kind " << k << " not registered";

@@ -24,8 +24,8 @@ namespace hisrect::nn {
 /// op in ops.cc (kMatMul through kConv1dSame) computes its forward value by
 /// calling its kind's registry kernel on Matrix storage, and PlanExecutor
 /// calls the same kernel on arena slices — so a plan replay is bitwise
-/// identical to the tape it was recorded from by construction. The fused and
-/// int8 kinds exist only in optimized plans (graph_optimizer.h).
+/// identical to the tape it was recorded from by construction. The fused
+/// kinds exist only in optimized plans (graph_optimizer.h).
 enum class OpKind : uint8_t {
   kMatMul = 0,
   kAdd,
@@ -56,16 +56,6 @@ enum class OpKind : uint8_t {
   // LSTM-gate preactivation: in = [x, h, W, U, bias],
   // out = AddBroadcastRow(Add(MatMul(x, W), MatMul(h, U)), bias) bitwise.
   kFusedDualLinear,
-  // Int8 kernels (QuantizeGraph): per-output-column symmetric weight
-  // quantization, fp32 accumulation epilogue. iattr0 indexes
-  // Graph::quant_linears; weights are baked into Graph::qweights at
-  // quantize time.
-  kQuantLinear,
-  kQuantLinearRelu,
-  kQuantLinearTanh,
-  // Quantized kFusedDualLinear: iattr0/iattr1 index the two
-  // Graph::quant_linears entries (W with x's scale, U with h's scale).
-  kQuantDualLinear,
   kNumOpKinds,
 };
 
@@ -103,16 +93,6 @@ struct Instr {
   int64_t iattr1 = 0;
 };
 
-/// Per-site metadata for one kQuantLinear* instr (Instr::iattr0 indexes the
-/// Graph::quant_linears table). Weights are quantized per output column
-/// (symmetric, zero-point 0) and stored transposed — cols rows of k int8
-/// each — so the inner dot product walks both operands contiguously.
-struct QuantLinearInfo {
-  size_t qweight_offset = 0;  // into Graph::qweights (cols * k int8 values)
-  size_t scale_offset = 0;    // into Graph::qscales (cols per-column scales)
-  float in_scale = 1.0f;      // static activation scale from calibration
-};
-
 /// A recorded, memory-planned computation. Immutable after
 /// GraphRecorder::Finish; shared by value across threads (execution state
 /// lives in PlanRun, not here — replaying a Graph is const and re-entrant).
@@ -130,12 +110,6 @@ struct Graph {
   size_t num_inputs = 0;
   /// The value buffer holding the recorded output (pinned live to the end).
   int32_t output_buffer = -1;
-  /// Int8 side tables (QuantizeGraph only; empty on fp32 graphs). Weights
-  /// are BAKED at quantize time — a quantized plan must be discarded if the
-  /// parameters it was built from change (re-fit / checkpoint restore).
-  std::vector<int8_t> qweights;
-  std::vector<float> qscales;
-  std::vector<QuantLinearInfo> quant_linears;
   /// Arena size in floats, from MemoryPlanner.
   size_t arena_floats = 0;
   /// Planner debug info for tests: per-buffer [birth, death] instr
@@ -167,15 +141,11 @@ struct KernelArgs {
   size_t num_in = 0;
   float* out = nullptr;
   Dims out_dims;
-  /// Forward-time workspace of the fused dual and int8 kinds; null
-  /// otherwise.
+  /// Forward-time workspace of kFusedDualLinear; null otherwise.
   float* aux = nullptr;
   float fattr = 0.0f;
   int64_t iattr0 = 0;
   int64_t iattr1 = 0;
-  /// The int8 kinds read Graph::quant_linears / qweights / qscales through
-  /// it; null on the eager tape.
-  const Graph* graph = nullptr;
 };
 
 /// Per-op schema: registry entry carrying the op's name, shape inference and

@@ -28,8 +28,7 @@ const float* BufferData(const Graph& graph, int32_t id, float* arena,
 
 }  // namespace
 
-void PlanExecutor::Forward(const Graph& graph, PlanRun& run,
-                           const InstrObserver& observe) {
+void PlanExecutor::Forward(const Graph& graph, PlanRun& run) {
   if (run.arena.size() < graph.arena_floats) {
     run.arena.resize(graph.arena_floats);  // grow-only; warmup cost
   }
@@ -53,8 +52,6 @@ void PlanExecutor::Forward(const Graph& graph, PlanRun& run,
     args.fattr = ins.fattr;
     args.iattr0 = ins.iattr0;
     args.iattr1 = ins.iattr1;
-    args.graph = &graph;
-    if (observe) observe(ins, args);
     GetOpSchema(ins.kind).forward(args);
   }
 }

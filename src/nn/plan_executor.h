@@ -2,7 +2,6 @@
 #define HISRECT_NN_PLAN_EXECUTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -17,16 +16,9 @@ namespace hisrect::nn {
 struct PlanOptions {
   bool enabled = false;
   /// Run GraphOptimizer fusion (Linear+ReLU / Linear+Tanh / MatMul+bias /
-  /// LSTM-gate dual linear) over recorded plans. Fused fp32 plans stay
-  /// bitwise-identical to the eager tape. Implies nothing else.
+  /// LSTM-gate dual linear) over recorded plans. Fused plans stay
+  /// bitwise-identical to the eager tape.
   bool fuse = false;
-  /// After `calibration_samples` fp32 executions per plan shape, rebuild
-  /// the plan with int8 fused-linear kernels (per-channel symmetric
-  /// weights, fp32 accumulation epilogue). NOT bitwise — judgement quality
-  /// is gated by AUC deltas instead. Implies `fuse`.
-  bool quantize = false;
-  /// Executions observed per plan shape before quantizing.
-  int calibration_samples = 16;
 };
 
 /// Per-run input binder. Inputs must be added in the exact order the leaves
@@ -90,21 +82,14 @@ struct PlanRun {
   std::vector<Operand> operands;
 };
 
-/// Called before each instr's kernel with its resolved operands.
-using InstrObserver =
-    std::function<void(const Instr& instr, const KernelArgs& args)>;
-
 /// Replays a recorded, memory-planned Graph. All methods are static and
 /// re-entrant; all mutable state lives in PlanRun.
 class PlanExecutor {
  public:
   /// Executes the program: resolves each instr's operands and runs its
   /// registry kernel. Grows run.arena and run.operands on first use (the
-  /// only allocations; steady-state replays allocate nothing). `observe`,
-  /// when set, sees every instr's inputs right before its kernel overwrites
-  /// any arena slot (Calibrator).
-  static void Forward(const Graph& graph, PlanRun& run,
-                      const InstrObserver& observe = nullptr);
+  /// only allocations; steady-state replays allocate nothing).
+  static void Forward(const Graph& graph, PlanRun& run);
 
   /// The recorded output value (must be 1x1).
   static float OutputScalar(const Graph& graph, const PlanRun& run);

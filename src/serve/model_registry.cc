@@ -81,7 +81,7 @@ util::Status ModelRegistry::WarmUp(const core::HisRectModel& model) const {
     return util::Status::Ok();
   }
   // Same (i, i*7+3) pairing walk the serving bench and CLI use, so a warmed
-  // model has recorded (and calibrated) exactly the shapes live traffic
+  // model has recorded (and fused) exactly the shapes live traffic
   // replays, and its encoder cache holds the working set.
   for (size_t i = 0; i < options_.warmup_pairs; ++i) {
     const data::Profile& a = pool[i % pool.size()];

@@ -11,7 +11,7 @@
 //      never partially applied);
 //   2. warms the new model up: encodes and scores `warmup_pairs` pairs from
 //      the attached dataset's test split, which records (and, per the model
-//      config, fuses / int8-calibrates) its scoring plans and fills its
+//      config, fuses) its scoring plans and fills its
 //      encoder cache — the first live request never pays for plan
 //      recording;
 //   3. verifies every warmup score is a finite probability;
@@ -57,7 +57,7 @@ struct RegistryOptions {
   /// match the checkpoints being deployed.
   core::HisRectModelConfig model_config;
   /// Pairs from the dataset's test split scored during warmup (plan
-  /// recording, fusion, int8 calibration, encoder-cache fill). 0 skips
+  /// recording, fusion, encoder-cache fill). 0 skips
   /// scoring warmup (the load is still CRC-verified).
   size_t warmup_pairs = 8;
   /// Model versions kept resident (newest first) as rollback targets.

@@ -190,7 +190,8 @@ TEST(FusionGoldenTest, TwoTowerJudgeShapeFusesBitwise) {
 
 // LSTM-gate preactivation x@W + h@U + b — four adjacent instrs — collapses
 // into one kFusedDualLinear and stays bitwise, with the MatMuls recorded in
-// either order.
+// either order, and whether U is a parameter or a per-run input (the kernel
+// reads every operand through the executor, so any buffer kind fuses).
 TEST(FusionGoldenTest, DualLinearGateFusesBitwiseInEval) {
   util::Rng rng(311);
   Tensor w = Tensor::FromMatrix(RandomMatrix(6, 8, rng), true);
@@ -198,41 +199,53 @@ TEST(FusionGoldenTest, DualLinearGateFusesBitwiseInEval) {
   Tensor b = Tensor::FromMatrix(RandomMatrix(1, 8, rng), true);
   nn::Matrix xv = RandomMatrix(2, 6, rng);
   nn::Matrix hv = RandomMatrix(2, 4, rng);
+  nn::Matrix uv = RandomMatrix(4, 8, rng);
 
-  for (bool h_first : {false, true}) {
-    auto forward = [&](const Tensor& x, const Tensor& h) {
-      nn::RecordPlanInput(x);
-      nn::RecordPlanInput(h);
-      Tensor xw, hu;
-      if (h_first) {
-        hu = nn::MatMul(h, u);
-        xw = nn::MatMul(x, w);
-      } else {
-        xw = nn::MatMul(x, w);
-        hu = nn::MatMul(h, u);
-      }
-      // The preactivation itself is part of the output, so an epilogue
-      // that reassociated the sum could not hide behind tanh rounding.
-      Tensor pre = nn::AddBroadcastRow(nn::Add(xw, hu), b);
-      return nn::ConcatCols(pre, nn::Tanh(pre));
-    };
-    const std::string what = h_first ? "h@U first" : "x@W first";
+  for (bool u_is_input : {false, true}) {
+    for (bool h_first : {false, true}) {
+      auto forward = [&](const Tensor& x, const Tensor& h) {
+        nn::RecordPlanInput(x);
+        nn::RecordPlanInput(h);
+        Tensor uu = u;
+        if (u_is_input) {
+          uu = Tensor::FromMatrix(uv);
+          nn::RecordPlanInput(uu);
+        }
+        Tensor xw, hu;
+        if (h_first) {
+          hu = nn::MatMul(h, uu);
+          xw = nn::MatMul(x, w);
+        } else {
+          xw = nn::MatMul(x, w);
+          hu = nn::MatMul(h, uu);
+        }
+        // The preactivation itself is part of the output, so an epilogue
+        // that reassociated the sum could not hide behind tanh rounding.
+        Tensor pre = nn::AddBroadcastRow(nn::Add(xw, hu), b);
+        return nn::ConcatCols(pre, nn::Tanh(pre));
+      };
+      const std::string what =
+          std::string(h_first ? "h@U first" : "x@W first") +
+          (u_is_input ? ", U input" : ", U parameter");
 
-    const nn::Matrix eager =
-        forward(Tensor::FromMatrix(xv), Tensor::FromMatrix(hv)).value();
+      const nn::Matrix eager =
+          forward(Tensor::FromMatrix(xv), Tensor::FromMatrix(hv)).value();
 
-    nn::GraphRecorder recorder;
-    auto plan = recorder.Finish(
-        forward(Tensor::FromMatrix(xv), Tensor::FromMatrix(hv)));
-    nn::FusionStats stats;
-    auto fused = nn::FuseGraph(*plan, &stats);
-    EXPECT_EQ(stats.fused_dual_linear, 1) << what;
-    EXPECT_EQ(stats.total(), 1) << what;
-    EXPECT_EQ(CountKind(*fused, nn::OpKind::kFusedDualLinear), 1u) << what;
-    EXPECT_EQ(CountKind(*fused, nn::OpKind::kMatMul), 0u) << what;
-    EXPECT_EQ(CountKind(*fused, nn::OpKind::kAdd), 0u) << what;
-    EXPECT_EQ(CountKind(*fused, nn::OpKind::kAddBroadcastRow), 0u) << what;
-    ExpectBitwiseEqual(eager, Replay(*fused, {&xv, &hv}), what);
+      nn::GraphRecorder recorder;
+      auto plan = recorder.Finish(
+          forward(Tensor::FromMatrix(xv), Tensor::FromMatrix(hv)));
+      nn::FusionStats stats;
+      auto fused = nn::FuseGraph(*plan, &stats);
+      EXPECT_EQ(stats.fused_dual_linear, 1) << what;
+      EXPECT_EQ(stats.total(), 1) << what;
+      EXPECT_EQ(CountKind(*fused, nn::OpKind::kFusedDualLinear), 1u) << what;
+      EXPECT_EQ(CountKind(*fused, nn::OpKind::kMatMul), 0u) << what;
+      EXPECT_EQ(CountKind(*fused, nn::OpKind::kAdd), 0u) << what;
+      EXPECT_EQ(CountKind(*fused, nn::OpKind::kAddBroadcastRow), 0u) << what;
+      std::vector<const nn::Matrix*> inputs = {&xv, &hv};
+      if (u_is_input) inputs.push_back(&uv);
+      ExpectBitwiseEqual(eager, Replay(*fused, inputs), what);
+    }
   }
 }
 

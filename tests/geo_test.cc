@@ -97,7 +97,9 @@ TEST(PolygonTest, ContainsIsConsistentWithBounds) {
   for (int i = 0; i < 500; ++i) {
     LatLon p = Offset({40.0, -74.0}, rng.Uniform(-400, 400),
                       rng.Uniform(-400, 400));
-    if (ngon.Contains(p)) EXPECT_TRUE(ngon.bounds().Contains(p));
+    if (ngon.Contains(p)) {
+      EXPECT_TRUE(ngon.bounds().Contains(p));
+    }
   }
 }
 

@@ -5,10 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "nn/graph_ir.h"
@@ -212,124 +210,8 @@ std::set<nn::OpKind> Fp32Golden() {
   return kinds;
 }
 
-// Int8 kernels have no eager op: their reference is the documented int8
-// arithmetic computed here in scalar code — per-column symmetric weight
-// scales, activations rounded with the calibrated scale, exact int32 dot
-// products, then the fp32 epilogue (acc * (sx * sw_j) [+ second operand])
-// + bias_j and the activation. The kernels' AVX2 paths must match it
-// bitwise.
-std::vector<int8_t> QuantizeRef(const float* v, size_t n, float scale) {
-  std::vector<int8_t> q(n);
-  const float inv = 1.0f / scale;
-  for (size_t i = 0; i < n; ++i) {
-    long r = std::lrintf(v[i] * inv);
-    q[i] = static_cast<int8_t>(std::max(-127L, std::min(127L, r)));
-  }
-  return q;
-}
-
-float ColumnScale(const nn::Matrix& w, size_t j) {
-  float max_w = 0.0f;
-  for (size_t t = 0; t < w.rows(); ++t) {
-    max_w = std::max(max_w, std::fabs(w.At(t, j)));
-  }
-  return max_w > 0.0f ? max_w / 127.0f : 1.0f;
-}
-
-// Sum over t of q(x_t) * q(W_tj) for one row of x.
-int32_t DotRef(const std::vector<int8_t>& qx, size_t row, const nn::Matrix& w,
-               size_t j) {
-  const size_t k = w.rows();
-  const float sw = ColumnScale(w, j);
-  const float col_inv = 1.0f / sw;
-  int32_t acc = 0;
-  for (size_t t = 0; t < k; ++t) {
-    long r = std::lrintf(w.At(t, j) * col_inv);
-    r = std::max(-127L, std::min(127L, r));
-    acc += static_cast<int32_t>(qx[row * k + t]) * static_cast<int32_t>(r);
-  }
-  return acc;
-}
-
-float ActivationRef(float v, nn::OpKind kind) {
-  if (kind == nn::OpKind::kQuantLinearRelu) return std::max(0.0f, v);
-  if (kind == nn::OpKind::kQuantLinearTanh) return std::tanh(v);
-  return v;
-}
-
-std::set<nn::OpKind> Int8Golden() {
-  util::Rng rng(23);
-  const size_t rows = 2, k1 = 19, k2 = 6, cols = 9;  // odd sizes: scalar tails
-  Tensor w = Tensor::FromMatrix(RandomMatrix(k1, cols, rng), true);
-  Tensor u = Tensor::FromMatrix(RandomMatrix(k2, cols, rng), true);
-  Tensor b = Tensor::FromMatrix(RandomMatrix(1, cols, rng), true);
-  nn::Matrix xv = RandomMatrix(rows, k1, rng);
-  nn::Matrix hv = RandomMatrix(rows, k2, rng);
-  const float max_x = 0.4f, max_h = 0.3f;  // below |0.5|: some clamping
-  const float sx = max_x / 127.0f, sh = max_h / 127.0f;
-  const std::vector<int8_t> qx = QuantizeRef(xv.data(), xv.size(), sx);
-  const std::vector<int8_t> qh = QuantizeRef(hv.data(), hv.size(), sh);
-
-  std::set<nn::OpKind> kinds;
-  auto check = [&](const nn::Graph& fused, std::vector<float> max_abs,
-                   nn::OpKind quant_kind) {
-    auto quantized = nn::QuantizeGraph(fused, max_abs);
-    ASSERT_EQ(quantized->instrs.size(), 1u);
-    ASSERT_EQ(quantized->instrs[0].kind, quant_kind);
-    nn::PlanRun run;
-    run.inputs.Reset();
-    run.inputs.AddDirect(xv.data());
-    if (quant_kind == nn::OpKind::kQuantDualLinear) {
-      run.inputs.AddDirect(hv.data());
-    }
-    nn::PlanExecutor::Forward(*quantized, run);
-    nn::Matrix expected(rows, cols);
-    for (size_t i = 0; i < rows; ++i) {
-      for (size_t j = 0; j < cols; ++j) {
-        float v = static_cast<float>(DotRef(qx, i, w.value(), j)) *
-                  (sx * ColumnScale(w.value(), j));
-        if (quant_kind == nn::OpKind::kQuantDualLinear) {
-          v = v + static_cast<float>(DotRef(qh, i, u.value(), j)) *
-                      (sh * ColumnScale(u.value(), j));
-        }
-        expected.At(i, j) = ActivationRef(v + b.value().At(0, j), quant_kind);
-      }
-    }
-    ExpectBitwiseEqual(expected, OutputOf(*quantized, run),
-                       nn::GetOpSchema(quant_kind).name);
-    kinds.insert(quant_kind);
-  };
-
-  const std::pair<nn::OpKind, int> linear_kinds[] = {
-      {nn::OpKind::kQuantLinear, 0},
-      {nn::OpKind::kQuantLinearRelu, 1},
-      {nn::OpKind::kQuantLinearTanh, 2}};
-  for (const auto& [quant_kind, act] : linear_kinds) {
-    nn::GraphRecorder recorder;
-    Tensor x = Tensor::FromMatrix(xv);
-    nn::RecordPlanInput(x);
-    Tensor h = nn::AddBroadcastRow(nn::MatMul(x, w), b);
-    if (act == 1) h = nn::Relu(h);
-    if (act == 2) h = nn::Tanh(h);
-    check(*nn::FuseGraph(*recorder.Finish(h)), {max_x}, quant_kind);
-  }
-  {
-    nn::GraphRecorder recorder;
-    Tensor x = Tensor::FromMatrix(xv);
-    Tensor h = Tensor::FromMatrix(hv);
-    nn::RecordPlanInput(x);
-    nn::RecordPlanInput(h);
-    Tensor pre =
-        nn::AddBroadcastRow(nn::Add(nn::MatMul(x, w), nn::MatMul(h, u)), b);
-    check(*nn::FuseGraph(*recorder.Finish(pre)), {max_x, max_h},
-          nn::OpKind::kQuantDualLinear);
-  }
-  return kinds;
-}
-
 TEST(PlanRegistryTest, EveryOpKindIsRegistered) {
-  std::set<nn::OpKind> covered = Fp32Golden();
-  for (nn::OpKind kind : Int8Golden()) covered.insert(kind);
+  const std::set<nn::OpKind> covered = Fp32Golden();
   for (uint8_t k = 0; k < static_cast<uint8_t>(nn::OpKind::kNumOpKinds); ++k) {
     const nn::OpKind kind = static_cast<nn::OpKind>(k);
     const nn::OpSchema& schema = nn::GetOpSchema(kind);

@@ -193,7 +193,9 @@ TEST(RobustnessTrainerTest, JudgeTrainerRequiresLabeledPairs) {
   core::HisRectFeaturizer featurizer(config, dataset.pois.size(),
                                      text_model.embeddings.get(), rng);
   core::JudgeHead judge(8, 4, 2, 2, rng);
-  core::JudgeTrainer trainer(&featurizer, &judge, {.steps = 1});
+  core::JudgeTrainerOptions options;
+  options.steps = 1;
+  core::JudgeTrainer trainer(&featurizer, &judge, options);
 
   data::DataSplit empty;
   empty.profiles = dataset.train.profiles;  // Profiles but no pairs.

@@ -284,7 +284,7 @@ TEST(LoggingTest, MinSeverityRoundTrips) {
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch sw;
   volatile double x = 0.0;
-  for (int i = 0; i < 100000; ++i) x += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) x = x + std::sqrt(static_cast<double>(i));
   EXPECT_GT(sw.ElapsedSeconds(), 0.0);
   EXPECT_GE(sw.ElapsedMillis(), sw.ElapsedSeconds() * 1000.0 * 0.99);
 }

@@ -3,7 +3,7 @@
 //   hisrect_cli stats  [--preset nyc|lv] [--scale S] [--seed N]
 //   hisrect_cli train  [--preset ...] [--ssl-steps N] [--judge-steps N]
 //                      [--threads N] [--shards N] [--pipeline-shards N]
-//                      [--plan] [--fuse] [--int8]
+//                      [--plan] [--fuse]
 //                      [--checkpoint-dir DIR] [--checkpoint-every N]
 //                      [--keep-last N] [--resume] [--out model.bin]
 //   hisrect_cli eval   [--preset ...] [--threads N] [--model model.bin]
@@ -21,9 +21,8 @@
 // `--plan` makes `eval` score through the recorded-plan replay path
 // (nn/plan_executor.h): zero steady-state tensor allocations,
 // bitwise-identical scores — see DESIGN.md §11. `--fuse` adds
-// the GraphOptimizer fusion pass (still bitwise-identical, DESIGN.md §12);
-// `--int8` scores through calibrated int8 fused-linear kernels (AUC-gated,
-// not bitwise). Training always runs the eager tape.
+// the GraphOptimizer fusion pass (still bitwise-identical, DESIGN.md §12).
+// Training always runs the eager tape.
 //
 // Fault tolerance: `--checkpoint-dir` + `--checkpoint-every` write periodic
 // HRCT2 checkpoints of the full trainer state; a re-run with `--resume`
@@ -95,9 +94,6 @@ struct CliOptions {
   /// GraphOptimizer kernel fusion on the scoring plans (bitwise-identical).
   /// Implies --plan.
   bool fuse = false;
-  /// Calibrated int8 fused-linear kernels for scoring. Implies --fuse and
-  /// --plan.
-  bool int8 = false;
   /// Fail-point spec armed before running (testing/drills).
   std::string failpoints;
   /// Observability exports; empty = disabled (the default).
@@ -112,8 +108,8 @@ int Usage() {
                "[--scale S] [--seed N]\n"
                "                   [--ssl-steps N] [--judge-steps N] "
                "[--threads N] [--shards N]\n"
-               "                   [--pipeline-shards N] [--plan] [--fuse] [--int8]\n"
-               "                   (--plan/--fuse/--int8 select the scoring "
+               "                   [--pipeline-shards N] [--plan] [--fuse]\n"
+               "                   (--plan/--fuse select the scoring "
                "path; training is eager)\n"
                "                   [--checkpoint-dir DIR] "
                "[--checkpoint-every N] [--keep-last N] [--resume]\n"
@@ -182,8 +178,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
       options.plan = true;
     } else if (arg == "--fuse") {
       options.fuse = true;
-    } else if (arg == "--int8") {
-      options.int8 = true;
     } else if (arg == "--failpoints") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -250,9 +244,8 @@ core::HisRectModelConfig ModelConfig(const CliOptions& options) {
   config.judge_trainer.num_shards = options.shards;
   config.ssl.affinity.num_shards = options.pipeline_shards;
   config.encode_shards = options.pipeline_shards;
-  config.plan.enabled = options.plan || options.fuse || options.int8;
-  config.plan.fuse = options.fuse || options.int8;
-  config.plan.quantize = options.int8;
+  config.plan.enabled = options.plan || options.fuse;
+  config.plan.fuse = options.fuse;
   config.seed = options.seed;
   core::CheckpointOptions checkpoint;
   checkpoint.dir = options.checkpoint_dir;

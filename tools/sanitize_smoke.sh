@@ -29,7 +29,7 @@
 #                (default: all three)
 #   BUILD_ROOT   prefix for the build trees (default: build-san)
 #   CTEST_LABEL  ctest -L selector override; empty picks per-sanitizer
-#                defaults (robustness|plan|fusion|quant|kernels for
+#                defaults (robustness|plan|fusion|kernels for
 #                address/undefined,
 #                obs|serve|fusion|router|train for thread)
 set -euo pipefail
@@ -42,7 +42,7 @@ CTEST_LABEL=${CTEST_LABEL:-}
 label_for() {
   case "$1" in
     thread) echo "obs|serve|fusion|router|train" ;;  # ctest -L takes a regex
-    *) echo "robustness|plan|fusion|quant|kernels" ;;
+    *) echo "robustness|plan|fusion|kernels" ;;
   esac
 }
 
